@@ -383,9 +383,9 @@ func TestWorkersConfigurable(t *testing.T) {
 	if w := base.workers(); w != min(runtime.NumCPU(), len(base.Degrees)) {
 		t.Fatalf("default workers = %d", w)
 	}
-	one := Space{Pred: h, Degrees: someDegrees(), Workers: -5}
-	if one.workers() != 1 {
-		t.Fatalf("negative workers must floor at 1, got %d", one.workers())
+	neg := Space{Pred: h, Degrees: someDegrees(), Workers: -5}
+	if w := neg.workers(); w != min(runtime.NumCPU(), len(neg.Degrees)) {
+		t.Fatalf("negative workers must mean NumCPU capped at the degree count, got %d", w)
 	}
 }
 

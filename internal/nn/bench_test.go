@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"ccperf/internal/tensor"
@@ -116,6 +117,39 @@ func BenchmarkConvForwardDenseVsSparse(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c.Forward(in, nil)
+			}
+		})
+	}
+}
+
+// BenchmarkMaxPool measures unpadded 2-D max pooling at Caffenet pool1
+// (96×55×55, 3×3 stride 2) and TinyNet pool1 (16×32×32, 2×2 stride 2)
+// through a warmed workspace. The input is post-ReLU-like — half zeros,
+// half positive — so ties and unpredictable maxima both occur.
+func BenchmarkMaxPool(b *testing.B) {
+	for _, bc := range []struct {
+		name      string
+		in        Shape
+		k, stride int
+	}{
+		{"caffenet-pool1", Shape{C: 96, H: 55, W: 55}, 3, 2},
+		{"tinynet-pool1", Shape{C: 16, H: 32, W: 32}, 2, 2},
+	} {
+		in := tensor.New(bc.in.C, bc.in.H, bc.in.W)
+		rng := rand.New(rand.NewSource(1))
+		for i := range in.Data {
+			if rng.Intn(2) == 0 {
+				in.Data[i] = rng.Float32()
+			}
+		}
+		p := NewMaxPool("p", bc.k, bc.stride)
+		b.Run(bc.name, func(b *testing.B) {
+			ws := NewWorkspace()
+			ws.Release(p.Forward(in, ws))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.Release(p.Forward(in, ws))
 			}
 		})
 	}

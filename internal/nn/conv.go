@@ -9,10 +9,10 @@ import (
 // sparseExecThreshold is the weight sparsity above which a convolution
 // switches from dense GEMM to CSR SpMM. Below it, sparse bookkeeping costs
 // more than the skipped multiplies — the same crossover the paper's
-// sparse-Caffe substrate exhibits. Re-measured after the fused
-// register-blocked GEMM landed: at the Caffenet-conv2 shape the kernels
-// tie at ≈25% sparsity (dense wins at 20%, CSR wins from 30%), so the
-// threshold holds — measurement table in docs/KERNELS.md.
+// sparse-Caffe substrate exhibits. Measured after the fused
+// register-blocked GEMM landed, the kernels tied at ≈25% sparsity at the
+// Caffenet-conv2 shape; with the SSE2 inner loops on amd64 they tie at
+// ≈40% — measurement tables in docs/KERNELS.md.
 const sparseExecThreshold = 0.25
 
 // Conv is a 2-D convolution layer with optional groups (Caffenet's conv2,

@@ -85,6 +85,19 @@ func (p *Pool) Forward(in *tensor.Tensor, ws *Workspace) *tensor.Tensor {
 	outS := p.OutShape(inS)
 	kh, kw, sh, sw, padH, padW := p.effective(inS)
 	out := wsAcquire(ws, outS.C, outS.H, outS.W)
+	if p.Mode == MaxPool && padH == 0 && padW == 0 {
+		maxPoolUnpadded(out.Data, in.Data, inS, outS, kh, kw, sh, sw)
+	} else {
+		p.poolGeneric(out, in, inS, outS)
+	}
+	return out
+}
+
+// poolGeneric is the pooling loop for every mode and padding, checking
+// each window element against the input bounds. It is also the reference
+// the max-pool fast path is tested against.
+func (p *Pool) poolGeneric(out, in *tensor.Tensor, inS, outS Shape) {
+	kh, kw, sh, sw, padH, padW := p.effective(inS)
 	for c := 0; c < inS.C; c++ {
 		src := in.Data[c*inS.H*inS.W:]
 		dst := out.Data[c*outS.H*outS.W:]
@@ -124,7 +137,47 @@ func (p *Pool) Forward(in *tensor.Tensor, ws *Workspace) *tensor.Tensor {
 			}
 		}
 	}
-	return out
+}
+
+// maxPoolUnpadded is Forward's max-pool path for windows without padding.
+// It clips each window to the input once instead of bounds-checking every
+// element; windowMax keeps the generic loop's results bit for bit.
+func maxPoolUnpadded(dst, src []float32, inS, outS Shape, kh, kw, sh, sw int) {
+	for c := 0; c < inS.C; c++ {
+		plane := src[c*inS.H*inS.W : (c+1)*inS.H*inS.W]
+		out := dst[c*outS.H*outS.W : (c+1)*outS.H*outS.W]
+		for oy := 0; oy < outS.H; oy++ {
+			y0 := oy * sh
+			y1 := min(y0+kh, inS.H)
+			row := out[oy*outS.W : (oy+1)*outS.W]
+			for ox := range row {
+				x0 := ox * sw
+				row[ox] = windowMax(plane, inS.W, y0, y1, x0, min(x0+kw, inS.W))
+			}
+		}
+	}
+}
+
+// windowMax is the maximum over plane rows [y0,y1) × columns [x0,x1) of a
+// plane w wide. It scans in the generic loop's row-major order with its
+// v > acc rule, so ties between ±0 and NaN resolve the same way, and an
+// empty window (a ceil-mode window that starts past the input) gives 0,
+// as the generic loop does. The running maximum is held as its bit
+// pattern so the select compiles to a conditional move, not a branch.
+func windowMax(plane []float32, w, y0, y1, x0, x1 int) float32 {
+	if y0 >= y1 || x0 >= x1 {
+		return 0
+	}
+	acc := math.Float32bits(plane[y0*w+x0])
+	for iy := y0; iy < y1; iy++ {
+		for _, v := range plane[iy*w+x0 : iy*w+x1] {
+			vb := math.Float32bits(v)
+			if v > math.Float32frombits(acc) {
+				acc = vb
+			}
+		}
+	}
+	return math.Float32frombits(acc)
 }
 
 // Cost implements Layer. Pooling is memory bound: one compare/add per

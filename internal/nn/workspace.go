@@ -189,12 +189,16 @@ func (ws *Workspace) takeAllocStats() (allocs, bytes uint64) {
 	return a, b
 }
 
-// WorkspacePool hands workspaces to concurrent batch workers, backed by a
-// sync.Pool so idle workspaces are reclaimable by the GC under memory
-// pressure. It also aggregates the allocation counters of everything that
-// passes through it, which feeds the serving-layer allocs/op gauge.
+// WorkspacePool hands workspaces to concurrent batch workers from a free
+// list, so once the pool holds as many workspaces as workers run at once,
+// Get never builds another. (A sync.Pool cannot promise that: a workspace
+// parked in one P's private slot is invisible to a Get on another P, and
+// each such miss built a fresh multi-megabyte Caffenet workspace.) It
+// also aggregates the allocation counters of everything that passes
+// through it, which feeds the serving-layer allocs/op gauge.
 type WorkspacePool struct {
-	pool    sync.Pool
+	mu      sync.Mutex
+	free    []*Workspace
 	workers int
 	allocs  atomic.Uint64
 	bytes   atomic.Uint64
@@ -207,19 +211,23 @@ func NewWorkspacePool(workers int) *WorkspacePool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &WorkspacePool{workers: workers}
-	p.pool.New = func() any {
-		ws := NewWorkspace()
-		ws.Workers = workers
-		return ws
-	}
-	return p
+	return &WorkspacePool{workers: workers}
 }
 
-// Get takes a workspace from the pool.
+// Get takes a workspace from the pool, building one when none is free.
 func (p *WorkspacePool) Get() *Workspace {
 	p.gets.Add(1)
-	return p.pool.Get().(*Workspace)
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		ws := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return ws
+	}
+	p.mu.Unlock()
+	ws := NewWorkspace()
+	ws.Workers = p.workers
+	return ws
 }
 
 // Put resets ws, folds its allocation counters into the pool's aggregate,
@@ -234,7 +242,9 @@ func (p *WorkspacePool) Put(ws *Workspace) {
 		p.allocs.Add(a)
 		p.bytes.Add(b)
 	}
-	p.pool.Put(ws)
+	p.mu.Lock()
+	p.free = append(p.free, ws)
+	p.mu.Unlock()
 }
 
 // AllocStats reports cumulative allocations and bytes folded in by Put,

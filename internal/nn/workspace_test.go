@@ -183,6 +183,7 @@ func TestLayerForwardZeroAllocs(t *testing.T) {
 		t.Fatal("sparse conv did not switch to CSR")
 	}
 	pool := NewMaxPool("p", 2, 2)
+	padded := &Pool{Mode: MaxPool, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, CeilMode: true}
 	flat := testImage(Shape{C: 4 * 16 * 16, H: 1, W: 1})
 	fc := NewFC("f", 32)
 	fc.Init(flat.Len(), 3)
@@ -195,6 +196,7 @@ func TestLayerForwardZeroAllocs(t *testing.T) {
 		{"conv-dense-grouped", conv, in},
 		{"conv-csr", sparse, in},
 		{"pool", pool, in},
+		{"pool-padded", padded, in},
 		{"fc", fc, flat},
 	}
 	for _, c := range cases {
@@ -250,6 +252,27 @@ func TestWorkspacePoolConcurrent(t *testing.T) {
 	}
 	if allocs, _, gets := pool.AllocStats(); gets != workers*rounds || allocs == 0 {
 		t.Fatalf("pool stats allocs=%d gets=%d, want warm-up allocs and %d gets", allocs, gets, workers*rounds)
+	}
+}
+
+// TestWorkspacePoolWarmNeverRebuilds pins the pool's free list: once it
+// holds as many workspaces as batch workers run at once, batches reuse
+// them whichever goroutine or P takes them, and no buffer is built again.
+func TestWorkspacePoolWarmNeverRebuilds(t *testing.T) {
+	n := testNet(t)
+	imgs := []*tensor.Tensor{testImage(n.Input), testImage(n.Input)}
+	pool := NewWorkspacePool(1)
+	a, b := pool.Get(), pool.Get()
+	n.Forward(imgs[0], a)
+	n.Forward(imgs[1], b)
+	pool.Put(a)
+	pool.Put(b)
+	warm, _, _ := pool.AllocStats()
+	for i := 0; i < 500; i++ {
+		n.ForwardBatchPool(imgs, 2, pool)
+	}
+	if allocs, _, _ := pool.AllocStats(); allocs != warm {
+		t.Fatalf("warm pool allocated %d more buffers over 500 two-worker batches", allocs-warm)
 	}
 }
 

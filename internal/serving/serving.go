@@ -508,8 +508,8 @@ func (g *Gateway) warmWorkspaces() {
 	v := &g.cfg.Ladder[0]
 	img := tensor.New(v.Net.Input.C, v.Net.Input.H, v.Net.Input.W)
 	wss := make([]*nn.Workspace, 0, n)
-	// Hold all n before returning any, so the sync.Pool actually minted n
-	// distinct workspaces.
+	// Hold all n before returning any, so the pool holds n distinct
+	// workspaces.
 	for i := 0; i < n; i++ {
 		ws := g.wsPool.Get()
 		v.Net.Forward(img, ws)
@@ -769,11 +769,16 @@ func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time
 	}
 	if len(failed) > 0 {
 		g.m.faulted.Add(int64(len(failed)))
+		// A wholly failed batch counts against the breaker before any
+		// request is answered, so a caller that sees ErrFaulted also sees
+		// the breaker state that failure caused.
+		if len(live) == 0 {
+			h.brk.observe(false, time.Now())
+		}
 		for _, r := range failed {
 			g.retryOrFail(r)
 		}
 		if len(live) == 0 {
-			h.brk.observe(false, time.Now())
 			return
 		}
 	}

@@ -76,3 +76,34 @@ func BenchmarkToCSR(b *testing.B) {
 		ToCSR(m)
 	}
 }
+
+// BenchmarkMatVec measures the fully-connected kernel at the Caffenet fc1
+// shape (4096×9216): one streaming pass over 151 MB of weights per call,
+// with the fused bias and ReLU epilogue.
+func BenchmarkMatVec(b *testing.B) {
+	a := benchMatrix(4096, 9216, 1, 6)
+	x := benchMatrix(1, 9216, 1, 7).Data
+	bias := benchMatrix(1, 4096, 1, 8).Data
+	y := make([]float32, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatVecFusedInto(y, a, x, bias, true)
+	}
+}
+
+// BenchmarkReLU measures the fused epilogue's ReLU clamp over a Caffenet
+// conv1 output (96×3025), about half of it negative as a GEMM leaves it.
+// The input is restored outside the timer, since the clamp works in place.
+func BenchmarkReLU(b *testing.B) {
+	src := benchMatrix(96, 3025, 1, 9)
+	m := src.Clone()
+	b.SetBytes(int64(4 * len(m.Data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(m.Data, src.Data)
+		b.StartTimer()
+		reluInPlace(m.Data)
+	}
+}

@@ -74,13 +74,14 @@ func (m *Matrix) Sparsity() float64 {
 
 // GEMM cache-blocking parameters (see docs/KERNELS.md). The kernel is
 // tiled over j and k, but the tiles engage only when the B operand
-// exceeds gemmCacheBudget: the scalar inner loop is ALU-bound whenever B
-// is LLC-resident — every model-zoo conv GEMM in this repo — and there
-// tiling is pure loop overhead (measured +15–30% on the Caffenet conv2
-// shape). Oversized products fall back to a blockK×blockJ B panel
-// (2 MiB) that stays cache-resident while every A row quad streams over
-// it. Accumulation order per output element is ascending k regardless of
-// tiling, so blocked and unblocked paths produce bit-identical results.
+// exceeds gemmCacheBudget. When B is LLC-resident — every model-zoo conv
+// GEMM in this repo — tiling bought nothing: with the scalar inner loop it
+// cost 15–30% on the Caffenet conv2 shape, and with the SSE2 one conv2
+// runs at the same speed flat or tiled. Oversized products fall back to a
+// blockK×blockJ B panel (2 MiB) that stays cache-resident while every A
+// row quad streams over it. Accumulation order per output element is
+// ascending k regardless of tiling, so blocked and unblocked paths produce
+// bit-identical results.
 const (
 	gemmBlockJ      = 1024
 	gemmBlockK      = 512
@@ -189,7 +190,7 @@ func gemmRows(dst, a, b *Matrix, bias []float32, relu bool, r0, r1 int) {
 		gemmRowsTiled(dst, a, b, bias, r0, r1)
 	}
 	if relu {
-		reluRows(dst, r0, r1)
+		reluInPlace(dst.Data[r0*dst.Cols : r1*dst.Cols])
 	}
 }
 
@@ -202,26 +203,6 @@ func initRow(ci []float32, bias []float32, i int) {
 	v := bias[i]
 	for j := range ci {
 		ci[j] = v
-	}
-}
-
-// axpy4 accumulates one streamed B row into four output row segments:
-// cX[j] += avX·bk[j]. It is deliberately a noinline leaf — with only the
-// j-loop state live, the four row pointers stay in registers; inlined
-// into the k loop the register allocator spills them to the stack on
-// every iteration (measured ~30% slower on the Caffenet conv2 shape).
-//
-//go:noinline
-func axpy4(bk, c0, c1, c2, c3 []float32, av0, av1, av2, av3 float32) {
-	c0 = c0[:len(bk)]
-	c1 = c1[:len(bk)]
-	c2 = c2[:len(bk)]
-	c3 = c3[:len(bk)]
-	for j, bv := range bk {
-		c0[j] += av0 * bv
-		c1[j] += av1 * bv
-		c2[j] += av2 * bv
-		c3[j] += av3 * bv
 	}
 }
 
@@ -248,11 +229,7 @@ func gemmRow(ci, ai, b []float32, stride int) {
 		if av == 0 {
 			continue
 		}
-		bk := b[k*stride : k*stride+w]
-		ci := ci[:len(bk)]
-		for j, bv := range bk {
-			ci[j] += av * bv
-		}
+		axpy1(b[k*stride:k*stride+w], ci, av)
 	}
 }
 
@@ -328,16 +305,6 @@ func gemmRowsTiled(dst, a, b *Matrix, bias []float32, r0, r1 int) {
 	}
 }
 
-// reluRows clamps rows [r0,r1) of m to max(0, ·) in place.
-func reluRows(m *Matrix, r0, r1 int) {
-	seg := m.Data[r0*m.Cols : r1*m.Cols]
-	for i, v := range seg {
-		if v < 0 {
-			seg[i] = 0
-		}
-	}
-}
-
 // MatVec computes y = A × x. It panics on dimension mismatch.
 func MatVec(a *Matrix, x []float32) []float32 {
 	y := make([]float32, a.Rows)
@@ -362,20 +329,52 @@ func MatVecFusedInto(y []float32, a *Matrix, x []float32, bias []float32, relu b
 	if bias != nil && len(bias) != a.Rows {
 		panic(fmt.Sprintf("tensor: MatVec bias len %d, want %d", len(bias), a.Rows))
 	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		var s float32
-		for j, v := range row {
-			s += v * x[j]
+	// Four rows share each pass over x. Every row keeps its own single
+	// accumulator summed in ascending j, so each output is bit-identical
+	// to the one-row loop the remainder rows take.
+	i := 0
+	for ; i+4 <= a.Rows; i += 4 {
+		r0 := a.Row(i)
+		r1 := a.Row(i + 1)[:len(r0)]
+		r2 := a.Row(i + 2)[:len(r0)]
+		r3 := a.Row(i + 3)[:len(r0)]
+		x := x[:len(r0)]
+		var s0, s1, s2, s3 float32
+		for j, xv := range x {
+			s0 += r0[j] * xv
+			s1 += r1[j] * xv
+			s2 += r2[j] * xv
+			s3 += r3[j] * xv
 		}
-		if bias != nil {
-			s += bias[i]
-		}
-		if relu && s < 0 {
-			s = 0
-		}
-		y[i] = s
+		y[i] = matVecOut(s0, bias, i, relu)
+		y[i+1] = matVecOut(s1, bias, i+1, relu)
+		y[i+2] = matVecOut(s2, bias, i+2, relu)
+		y[i+3] = matVecOut(s3, bias, i+3, relu)
 	}
+	for ; i < a.Rows; i++ {
+		y[i] = matVecOut(dotRow(a.Row(i), x), bias, i, relu)
+	}
+}
+
+// dotRow is one row of MatVec: Σ row[j]·x[j] in ascending j.
+func dotRow(row, x []float32) float32 {
+	var s float32
+	for j, v := range row {
+		s += v * x[j]
+	}
+	return s
+}
+
+// matVecOut is the MatVec epilogue for output i: add bias[i] (when bias
+// is non-nil), then clamp to max(0, ·) when relu is set.
+func matVecOut(s float32, bias []float32, i int, relu bool) float32 {
+	if bias != nil {
+		s += bias[i]
+	}
+	if relu && s < 0 {
+		s = 0
+	}
+	return s
 }
 
 // Transpose returns Aᵀ.

@@ -96,29 +96,13 @@ func SpMMFusedInto(dst *Matrix, s *CSR, b *Matrix, bias []float32, relu bool) {
 	n := b.Cols
 	for i := 0; i < s.Rows; i++ {
 		ci := dst.Data[i*n : (i+1)*n]
-		if bias == nil {
-			clear(ci)
-		} else {
-			v := bias[i]
-			for j := range ci {
-				ci[j] = v
-			}
-		}
+		initRow(ci, bias, i)
 		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
 			k := int(s.ColIdx[p])
-			v := s.Val[p]
-			bk := b.Data[k*n : (k+1)*n]
-			ci := ci[:len(bk)]
-			for j, bv := range bk {
-				ci[j] += v * bv
-			}
+			axpy1(b.Data[k*n:(k+1)*n], ci, s.Val[p])
 		}
 		if relu {
-			for j, v := range ci {
-				if v < 0 {
-					ci[j] = 0
-				}
-			}
+			reluInPlace(ci)
 		}
 	}
 }

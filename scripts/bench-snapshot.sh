@@ -31,7 +31,7 @@ mkdir -p out
 
 echo "bench snapshot: micro benchmarks (-benchtime $benchtime -count $count)"
 go test -run - -bench . -benchmem -benchtime "$benchtime" -count "$count" \
-    . ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/tenant ./internal/shard > out/bench-raw.txt
+    . ./internal/tensor ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/tenant ./internal/shard > out/bench-raw.txt
 
 loadtest_flag=""
 if [ "$loadtest" = "1" ]; then

@@ -17,6 +17,11 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
+# The SSE2 kernels in internal/tensor are amd64-only; vetting for arm64
+# keeps the portable Go fallback compiling.
+echo "== GOARCH=arm64 go vet ./..."
+GOARCH=arm64 go vet ./...
+
 echo "== go build ./..."
 go build ./...
 
@@ -30,7 +35,7 @@ mkdir -p out
 # shared box a single 1x iteration of a millisecond-scale benchmark swings
 # well past any sane threshold without any code change.
 go test -run - -bench . -benchmem -benchtime 1x -count 2 \
-    . ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/tenant ./internal/shard | tee out/bench-check.txt
+    . ./internal/tensor ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/tenant ./internal/shard | tee out/bench-check.txt
 
 # Regression gate: diff the smoke run against the latest committed
 # trajectory point. The smoke is single-iteration and the baseline may
