@@ -291,7 +291,7 @@ func LadderDegrees(ratios []float64) ([]prune.Degree, error) {
 	}
 	degrees := make([]prune.Degree, len(ratios))
 	for i, r := range ratios {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) {
 			return nil, fmt.Errorf("ccperf: ladder ratio %v out of [0,1]", r)
 		}
 		degrees[i] = prune.Uniform([]string{"conv1", "conv2"}, r)

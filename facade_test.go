@@ -2,6 +2,7 @@ package ccperf
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -259,5 +260,11 @@ func TestWithCalibrationSet(t *testing.T) {
 	defer bad.Close()
 	if _, err := bad.Transfer(context.Background()); err == nil {
 		t.Fatal("an uncalibrated type in the calibration set must error")
+	}
+}
+
+func TestLadderDegreesRejectsNaN(t *testing.T) {
+	if _, err := LadderDegrees([]float64{0, math.NaN()}); err == nil {
+		t.Fatal("LadderDegrees accepts a NaN ratio")
 	}
 }

@@ -243,3 +243,23 @@ func TestTopKValid(t *testing.T) {
 		t.Fatal("negative accepted")
 	}
 }
+
+// TestEvaluateBitStable evaluates one five-layer degree 1,000 times with a
+// quantum of 2^-60, fine enough to keep every bit of the fold: the drops
+// are summed in layer order, not map order, so every call must agree.
+func TestEvaluateBitStable(t *testing.T) {
+	ev := caffenet(t)
+	ev.Quantum = 0x1p-60
+	d := prune.NewDegree("conv1", 0.4, "conv2", 0.7, "conv3", 0.2, "conv4", 0.2, "conv5", 0.6)
+	seen := map[[2]uint64]bool{}
+	for i := 0; i < 1000; i++ {
+		a, err := ev.Evaluate(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[[2]uint64{math.Float64bits(a.Top1), math.Float64bits(a.Top5)}] = true
+	}
+	if len(seen) != 1 {
+		t.Fatalf("1000 Evaluate calls gave %d bit patterns, want 1", len(seen))
+	}
+}

@@ -8,6 +8,7 @@ package cloud
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -133,8 +134,14 @@ type Config struct {
 // NewConfig builds a configuration from instances (order normalized).
 func NewConfig(instances ...*Instance) Config {
 	c := Config{Instances: append([]*Instance(nil), instances...)}
-	sort.Slice(c.Instances, func(a, b int) bool { return c.Instances[a].Name < c.Instances[b].Name })
+	sortByName(c.Instances)
 	return c
+}
+
+// sortByName orders instances by type name. The sort is not stable:
+// distinct instances sharing a name keep the order pdqsort leaves them in.
+func sortByName(insts []*Instance) {
+	slices.SortFunc(insts, func(a, b *Instance) int { return strings.Compare(a.Name, b.Name) })
 }
 
 // Size returns |R|, the number of resource instances.
@@ -253,14 +260,22 @@ func Subsets(pool []*Instance) []Config {
 		panic(fmt.Sprintf("cloud: refusing to enumerate 2^%d subsets", n))
 	}
 	out := make([]Config, 0, (1<<n)-1)
+	if n == 0 {
+		return out
+	}
+	// Each instance is in half of the subsets, so one array of n·2^(n−1)
+	// pointers holds every configuration's slice.
+	all := make([]*Instance, 0, n<<(n-1))
 	for mask := 1; mask < 1<<n; mask++ {
-		var insts []*Instance
+		start := len(all)
 		for b := 0; b < n; b++ {
 			if mask&(1<<b) != 0 {
-				insts = append(insts, pool[b])
+				all = append(all, pool[b])
 			}
 		}
-		out = append(out, NewConfig(insts...))
+		insts := all[start:len(all):len(all)]
+		sortByName(insts)
+		out = append(out, Config{Instances: insts})
 	}
 	return out
 }

@@ -6,10 +6,11 @@
 // TAR/CAR-guided greedy resource allocation that replaces the exponential
 // subset search with an O(|G| log |G|)-per-degree heuristic (Section 4.5.3).
 //
-// All searches consume predictions through engine.Predictor; pass an
-// engine.Cache (wrapping the measurement harness) and every (degree,
-// instance-type) evaluation is made once and shared across the |P|·(2^|G|−1)
-// configurations that reuse it.
+// All searches consume predictions through engine.Predictor. Each prices a
+// degree's configurations from a rate table that reads every distinct pool
+// instance's batch time once; pass an engine.Cache (wrapping the
+// measurement harness) and searches that revisit a degree share those
+// reads too.
 package explore
 
 import (
@@ -75,8 +76,10 @@ func (s *Space) workers() int {
 }
 
 // Enumerate evaluates the analytical model on every (degree, non-empty
-// subset of G) pair. With |G| instances this is |P|·(2^|G|−1) model
-// evaluations — the exponential space Algorithm 1 avoids. Degrees are
+// subset of G) pair. With |G| instances this is |P|·(2^|G|−1) candidates —
+// the exponential space Algorithm 1 avoids. Subsets whose sorted instance
+// slices hold the same pointers share one estimate, so a cloud.BuildPool
+// pool of k types × m copies costs (m+1)^k−1 estimates per degree. Degrees are
 // evaluated concurrently (each degree's block of the result is
 // independent); output order is deterministic: degree-major, subsets in
 // mask order. Cancelling ctx stops feeding the pool, drains in-flight
@@ -91,6 +94,7 @@ func (s *Space) Enumerate(ctx context.Context) ([]Candidate, error) {
 	reg := telemetry.Default
 	spanCtx, finishEnum := telemetry.StartSpan(ctx, "explore.enumerate")
 	configs := cloud.Subsets(s.Pool)
+	group, firsts := priceGroups(configs)
 	out := make([]Candidate, len(configs)*len(s.Degrees))
 	workers := s.workers()
 	reg.Gauge("explore.workers").Set(float64(workers))
@@ -109,6 +113,7 @@ func (s *Space) Enumerate(ctx context.Context) ([]Candidate, error) {
 			defer wg.Done()
 			_, finishWorker := telemetry.StartSpan(spanCtx, "explore.worker")
 			degrees := 0
+			ests := make([]cloud.Estimate, len(firsts))
 			defer func() {
 				finishWorker(
 					telemetry.L("worker", w),
@@ -128,15 +133,19 @@ func (s *Space) Enumerate(ctx context.Context) ([]Candidate, error) {
 					errs[di] = err
 					continue
 				}
-				perf := s.Pred.Perf(d, 0)
-				base := di * len(configs)
-				for ci, cfg := range configs {
-					est, err := cloud.EstimateRunWith(cfg, s.W, perf, s.Dist)
-					if err != nil {
+				perf := newRateTable(s.Pred.Perf(d, 0), s.Pool)
+				for g, ci := range firsts {
+					if ests[g], err = cloud.EstimateRunWith(configs[ci], s.W, perf, s.Dist); err != nil {
 						errs[di] = err
 						break
 					}
-					out[base+ci] = Candidate{Degree: d, Acc: acc, Config: cfg, Seconds: est.Seconds, Cost: est.Cost}
+				}
+				if errs[di] == nil {
+					base := di * len(configs)
+					for ci, cfg := range configs {
+						est := &ests[group[ci]]
+						out[base+ci] = Candidate{Degree: d, Acc: acc, Config: cfg, Seconds: est.Seconds, Cost: est.Cost}
+					}
 				}
 				el := time.Since(dstart)
 				busyNanos[w] += el.Nanoseconds()
@@ -187,25 +196,25 @@ feed:
 // explore.pruned_budget (a candidate violating both constraints increments
 // both pruned counters).
 func Feasible(cands []Candidate, deadline, budget float64) []Candidate {
-	reg := telemetry.Default
-	feasible := reg.Counter("explore.feasible")
-	byDeadline := reg.Counter("explore.pruned_deadline")
-	byBudget := reg.Counter("explore.pruned_budget")
 	var out []Candidate
+	var byDeadline, byBudget int64
 	for _, c := range cands {
 		overDeadline := c.Seconds > deadline
 		overBudget := c.Cost > budget
 		if overDeadline {
-			byDeadline.Inc()
+			byDeadline++
 		}
 		if overBudget {
-			byBudget.Inc()
+			byBudget++
 		}
 		if !overDeadline && !overBudget {
-			feasible.Inc()
 			out = append(out, c)
 		}
 	}
+	reg := telemetry.Default
+	reg.Counter("explore.feasible").Add(int64(len(out)))
+	reg.Counter("explore.pruned_deadline").Add(byDeadline)
+	reg.Counter("explore.pruned_budget").Add(byBudget)
 	return out
 }
 
@@ -312,7 +321,7 @@ func Allocate(ctx context.Context, p engine.Predictor, in Input) (res Result, er
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		perf := p.Perf(dr.d, 0)
+		perf := newRateTable(p.Perf(dr.d, 0), in.Pool)
 		// Sort G ascending by CAR: cost of running the whole workload on
 		// that instance alone, per unit accuracy.
 		type gCar struct {
@@ -416,7 +425,7 @@ func Exhaustive(ctx context.Context, p engine.Predictor, in Input) (out Result, 
 			return Result{}, err
 		}
 		a := in.Metric.Pick(acc)
-		perf := p.Perf(d, 0)
+		perf := newRateTable(p.Perf(d, 0), in.Pool)
 		for _, cfg := range configs {
 			est, err := cloud.EstimateRunWith(cfg, in.W, perf, in.Dist)
 			if err != nil {

@@ -156,7 +156,8 @@ func calibrationFor(model string) *calibration {
 // pruning multiplies per-image work, R = Π_l (1−φ_l·r_l) · exp(−γ·r₁·r₂).
 func (c *calibration) Response(d prune.Degree) float64 {
 	r := 1.0
-	for layer, ratio := range d.Ratios {
+	for _, layer := range d.Layers() {
+		ratio := d.Ratios[layer]
 		if ratio <= 0 {
 			continue
 		}

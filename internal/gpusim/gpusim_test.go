@@ -415,3 +415,23 @@ func TestJitterDeterministicAcrossSimulators(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchTimeBitStable evaluates one five-layer degree 1,000 times: the
+// response folds its per-layer factors in layer order, not map order, so
+// every call must give the same bits.
+func TestBatchTimeBitStable(t *testing.T) {
+	s := sim(t)
+	k80, _ := s.Device(cloud.K80)
+	run := caffenetRun(prune.NewDegree("conv1", 0.3, "conv2", 0.7, "conv3", 0.1, "conv4", 0.9, "conv5", 0.6))
+	seen := map[uint64]bool{}
+	for i := 0; i < 1000; i++ {
+		bt, err := s.BatchTime(run, k80, 1, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[math.Float64bits(bt)] = true
+	}
+	if len(seen) != 1 {
+		t.Fatalf("1000 BatchTime calls gave %d bit patterns, want 1", len(seen))
+	}
+}

@@ -4,7 +4,10 @@
 // configuration has both higher accuracy and lower objective.
 package pareto
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Point is one candidate: maximize Accuracy, minimize Objective. Payload
 // carries the caller's configuration identity through the filter.
@@ -33,11 +36,14 @@ func Frontier(points []Point) []Point {
 	sorted := append([]Point(nil), points...)
 	// Sort by accuracy descending; ties by objective ascending so the best
 	// of each accuracy level comes first.
-	sort.SliceStable(sorted, func(a, b int) bool {
-		if sorted[a].Accuracy != sorted[b].Accuracy {
-			return sorted[a].Accuracy > sorted[b].Accuracy
+	slices.SortStableFunc(sorted, func(a, b Point) int {
+		if a.Accuracy != b.Accuracy {
+			if a.Accuracy > b.Accuracy {
+				return -1
+			}
+			return 1
 		}
-		return sorted[a].Objective < sorted[b].Objective
+		return compare(a.Objective, b.Objective)
 	})
 	var out []Point
 	bestObj := sorted[0].Objective
@@ -53,8 +59,21 @@ func Frontier(points []Point) []Point {
 			lastAcc = p.Accuracy
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Accuracy < out[b].Accuracy })
+	slices.SortFunc(out, func(a, b Point) int { return compare(a.Accuracy, b.Accuracy) })
 	return out
+}
+
+// compare orders x before y exactly when x < y. Unlike cmp.Compare it does
+// not put NaN first: a NaN compares equal to everything, as it does under a
+// less-than test, so the sorts keep the orders they had under sort.Slice.
+func compare(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
 }
 
 // IsOptimal reports whether p is non-dominated within points.

@@ -72,7 +72,7 @@ func ParseMethod(s string) (Method, error) {
 // Layer prunes a single prunable layer's weights in place by ratio∈[0,1]
 // using the given method, then rebuilds its sparse execution path.
 func Layer(p nn.Prunable, ratio float64, m Method) error {
-	if ratio < 0 || ratio > 1 {
+	if !(ratio >= 0 && ratio <= 1) {
 		return fmt.Errorf("prune: ratio %v out of [0,1] for layer %q", ratio, p.Name())
 	}
 	if ratio == 0 {
@@ -94,7 +94,7 @@ func Layer(p nn.Prunable, ratio float64, m Method) error {
 // stores outside the nn layer system (e.g. the trainable network in
 // internal/train).
 func Weights(w *tensor.Matrix, ratio float64, m Method) error {
-	if ratio < 0 || ratio > 1 {
+	if !(ratio >= 0 && ratio <= 1) {
 		return fmt.Errorf("prune: ratio %v out of [0,1]", ratio)
 	}
 	if ratio == 0 {
@@ -304,28 +304,37 @@ func (d Degree) IsUnpruned() bool {
 	return true
 }
 
+// Layers returns the degree's layer names in ascending order, zero ratios
+// included. Every float fold over Ratios runs in this order: map order
+// changes from call to call, and so would the rounding of the fold.
+func (d Degree) Layers() []string {
+	layers := make([]string, 0, len(d.Ratios))
+	for k := range d.Ratios {
+		layers = append(layers, k)
+	}
+	sort.Strings(layers)
+	return layers
+}
+
 // Label renders a stable human-readable identifier, e.g.
-// "conv1@30+conv2@50" or "nonpruned".
+// "conv1@30+conv2@50" or "nonpruned". It is the key of every engine cache
+// entry, and a degree with no positive ratio labels without allocating.
 func (d Degree) Label() string {
-	type kv struct {
-		k string
-		v float64
-	}
-	var items []kv
-	for k, v := range d.Ratios {
-		if v > 0 {
-			items = append(items, kv{k, v})
-		}
-	}
-	if len(items) == 0 {
+	if d.IsUnpruned() {
 		return "nonpruned"
 	}
-	sort.Slice(items, func(a, b int) bool { return items[a].k < items[b].k })
-	parts := make([]string, len(items))
-	for i, it := range items {
-		parts[i] = fmt.Sprintf("%s@%g", it.k, math.Round(it.v*1000)/10)
+	buf := make([]byte, 0, 64)
+	for _, k := range d.Layers() {
+		if v := d.Ratios[k]; v > 0 {
+			if len(buf) > 0 {
+				buf = append(buf, '+')
+			}
+			buf = append(buf, k...)
+			buf = append(buf, '@')
+			buf = strconv.AppendFloat(buf, math.Round(v*1000)/10, 'g', -1, 64)
+		}
 	}
-	return strings.Join(parts, "+")
+	return string(buf)
 }
 
 // Clone deep-copies the degree.
@@ -337,10 +346,10 @@ func (d Degree) Clone() Degree {
 	return c
 }
 
-// Validate checks all ratios are in [0,1].
+// Validate checks all ratios are in [0,1]; NaN is out of range.
 func (d Degree) Validate() error {
 	for k, v := range d.Ratios {
-		if v < 0 || v > 1 {
+		if !(v >= 0 && v <= 1) {
 			return fmt.Errorf("prune: degree ratio %v for layer %q out of [0,1]", v, k)
 		}
 	}

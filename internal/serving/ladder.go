@@ -104,7 +104,7 @@ func DemoLadder(ratios []float64) ([]Variant, error) {
 	}
 	degrees := make([]prune.Degree, len(ratios))
 	for i, r := range ratios {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) {
 			return nil, fmt.Errorf("serving: ladder ratio %v out of [0,1]", r)
 		}
 		degrees[i] = prune.Uniform([]string{"conv1", "conv2"}, r)

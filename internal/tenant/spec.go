@@ -112,7 +112,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("tenant: spec needs a name")
 	}
 	for _, r := range s.Ladder {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) {
 			return fmt.Errorf("tenant %s: ladder ratio %v out of [0,1]", s.Name, r)
 		}
 	}

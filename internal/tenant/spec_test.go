@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -110,5 +111,11 @@ func TestBucketUnlimited(t *testing.T) {
 		if !b.allow(now) {
 			t.Fatal("rate 0 means unlimited")
 		}
+	}
+}
+
+func TestSpecValidateRejectsNaNRatio(t *testing.T) {
+	if err := (Spec{Name: "a", Ladder: []float64{0, math.NaN()}}).Validate(); err == nil {
+		t.Fatal("Validate accepts a NaN ladder ratio")
 	}
 }

@@ -28,6 +28,11 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# The degree label is the key of every engine cache entry; fuzz its
+# grammar (ParseDegree/Label round trip, ratios in [0,1]) on every run.
+echo "== fuzz ParseDegree (10s)"
+go test -run - -fuzz '^FuzzParseDegree$' -fuzztime 10s ./internal/prune
+
 echo "== bench smoke (go test -run - -bench . -benchtime 1x -count 2)"
 mkdir -p out
 # -count 2 gives every timing unit two samples, so the benchdiff gate can
