@@ -25,6 +25,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -888,11 +889,17 @@ func benchjsonCmd(args []string) error {
 	}
 	set := telemetry.BenchSet{
 		UnixNano: time.Now().UnixNano(),
+		// The runtime fields describe this process, which the snapshot
+		// scripts build with the same toolchain on the same machine, at
+		// the same GOMAXPROCS, as the benchmarks they convert.
 		Meta: telemetry.BenchMeta{
-			GitSHA:    *sha,
-			Benchtime: *benchtime,
-			Count:     *count,
-			Note:      *note,
+			GitSHA:     *sha,
+			Benchtime:  *benchtime,
+			Count:      *count,
+			Note:       *note,
+			GoVersion:  runtime.Version(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			NumCPU:     runtime.NumCPU(),
 		},
 		Benchmarks: telemetry.CollectBench(results),
 	}

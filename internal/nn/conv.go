@@ -11,8 +11,12 @@ import (
 // more than the skipped multiplies — the same crossover the paper's
 // sparse-Caffe substrate exhibits. Measured after the fused
 // register-blocked GEMM landed, the kernels tied at ≈25% sparsity at the
-// Caffenet-conv2 shape; with the SSE2 inner loops on amd64 they tie at
-// ≈40% — measurement tables in docs/KERNELS.md.
+// Caffenet-conv2 shape; with the SSE2 inner loops on amd64 they tied at
+// ≈40%, and with the AVX tiles they tie at ≈50% at conv1 and conv2 and
+// ≈55–60% at conv3, for random and for filter sparsity alike. It stays at
+// 0.25, so layers between it and the tie take the slower CSR kernel;
+// moving it changes which kernel a pruned model runs (ROADMAP item 2).
+// Measurement tables in docs/KERNELS.md.
 const sparseExecThreshold = 0.25
 
 // Conv is a 2-D convolution layer with optional groups (Caffenet's conv2,

@@ -87,10 +87,17 @@ type BenchMeta struct {
 	Count int `json:"count,omitempty"`
 	// Note is free-form provenance (machine class, "ci", "local", ...).
 	Note string `json:"note,omitempty"`
+	// GoVersion is the toolchain the runs were built with, e.g. "go1.24.0".
+	GoVersion string `json:"go_version,omitempty"`
+	// GOMAXPROCS is the parallelism the runs were given.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	// NumCPU is the machine's logical CPU count.
+	NumCPU int `json:"num_cpu,omitempty"`
 }
 
 // String renders the provenance compactly, e.g.
-// "09d4856 (-benchtime 1x -count 3)"; empty meta renders as "unknown".
+// "09d4856 (-benchtime 1s -count 5 go1.24.0 GOMAXPROCS=2 NumCPU=2)";
+// empty meta renders as "unknown".
 func (m BenchMeta) String() string {
 	sha := m.GitSHA
 	if sha == "" {
@@ -102,6 +109,15 @@ func (m BenchMeta) String() string {
 	}
 	if m.Count > 0 {
 		opts = append(opts, fmt.Sprintf("-count %d", m.Count))
+	}
+	if m.GoVersion != "" {
+		opts = append(opts, m.GoVersion)
+	}
+	if m.GOMAXPROCS > 0 {
+		opts = append(opts, fmt.Sprintf("GOMAXPROCS=%d", m.GOMAXPROCS))
+	}
+	if m.NumCPU > 0 {
+		opts = append(opts, fmt.Sprintf("NumCPU=%d", m.NumCPU))
 	}
 	if m.Note != "" {
 		opts = append(opts, m.Note)

@@ -187,3 +187,19 @@ func TestBenchSnapshot(t *testing.T) {
 		t.Fatal("snapshot must be timestamped")
 	}
 }
+
+func TestBenchMetaString(t *testing.T) {
+	for _, c := range []struct {
+		meta BenchMeta
+		want string
+	}{
+		{BenchMeta{}, "unknown"},
+		{BenchMeta{GitSHA: "abc1234"}, "abc1234"},
+		{BenchMeta{GitSHA: "abc1234", Benchtime: "1s", Count: 5, GoVersion: "go1.24.0", GOMAXPROCS: 2, NumCPU: 4, Note: "ci"},
+			"abc1234 (-benchtime 1s -count 5 go1.24.0 GOMAXPROCS=2 NumCPU=4 ci)"},
+	} {
+		if got := c.meta.String(); got != c.want {
+			t.Errorf("%+v: String() = %q, want %q", c.meta, got, c.want)
+		}
+	}
+}

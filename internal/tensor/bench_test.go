@@ -107,3 +107,53 @@ func BenchmarkReLU(b *testing.B) {
 		reluInPlace(m.Data)
 	}
 }
+
+// caffenetGEMMs are the per-group products of Caffenet's five conv layers:
+// filters (m) × C·KH·KW (k) times C·KH·KW × OH·OW (n). conv2, conv4 and
+// conv5 run as two such groups.
+var caffenetGEMMs = []struct {
+	name    string
+	m, k, n int
+}{
+	{"conv1", 96, 363, 3025},
+	{"conv2", 128, 1200, 729},
+	{"conv3", 384, 2304, 169},
+	{"conv4", 192, 1728, 169},
+	{"conv5", 128, 1728, 169},
+}
+
+// filterPruned zeroes every other row of w, as a 50% L1-filter pruning
+// leaves a conv's weights.
+func filterPruned(w *Matrix) *Matrix {
+	p := w.Clone()
+	for i := 1; i < p.Rows; i += 2 {
+		clear(p.Row(i))
+	}
+	return p
+}
+
+// BenchmarkConvGEMM times one group of each Caffenet conv with its fused
+// bias and ReLU epilogue: the dense GEMM, and the CSR SpMM on 50%
+// filter-pruned weights. GFLOP/s counts 2·m·k·n for dense and 2·NNZ·n
+// for CSR, as ccbench's kernel replays do.
+func BenchmarkConvGEMM(b *testing.B) {
+	for _, s := range caffenetGEMMs {
+		w := benchMatrix(s.m, s.k, 1, 10)
+		x := benchMatrix(s.k, s.n, 1, 11)
+		bias := benchMatrix(1, s.m, 1, 12).Data
+		dst := NewMatrix(s.m, s.n)
+		csr := ToCSR(filterPruned(w))
+		b.Run(s.name+"/dense", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulFusedInto(dst, w, x, bias, true)
+			}
+			b.ReportMetric(2*float64(s.m*s.k*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+		b.Run(s.name+"/csr", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				SpMMFusedInto(dst, csr, x, bias, true)
+			}
+			b.ReportMetric(2*float64(csr.NNZ()*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}

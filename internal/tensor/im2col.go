@@ -71,16 +71,15 @@ func Im2ColInto(g ConvGeom, input []float32, dst *Matrix) {
 					}
 					rowOff := chOff + iy*g.InW
 					if g.StrideW == 1 {
-						// ix = ox - PadW + kw is valid for ox in [lo,hi).
-						lo, hi := g.PadW-kw, g.InW+g.PadW-kw
-						if lo < 0 {
-							lo = 0
-						}
-						if hi > ow {
-							hi = ow
-						}
+						// ix = ox - PadW + kw is valid for ox in [lo,hi),
+						// clamped into [0,ow]: with padding wider than the
+						// input, the valid range can lie wholly outside it.
+						lo := min(max(g.PadW-kw, 0), ow)
+						hi := min(max(g.InW+g.PadW-kw, lo), ow)
 						clear(seg[:lo])
-						copy(seg[lo:hi], input[rowOff+lo-g.PadW+kw:])
+						if lo < hi {
+							copy(seg[lo:hi], input[rowOff+lo-g.PadW+kw:])
+						}
 						clear(seg[hi:])
 						continue
 					}

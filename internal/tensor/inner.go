@@ -1,9 +1,15 @@
 package tensor
 
 // The inner loops of the GEMM, CSR SpMM and fused-ReLU epilogue. On amd64
-// they run as four-lane SSE2 kernels (inner_amd64.s); these Go loops are
-// the implementation on every other GOARCH and the reference the assembly
-// is tested against bit for bit (inner_test.go).
+// the axpy loops and the ReLU clamp run as four-lane SSE2 kernels
+// (inner_amd64.s), and on CPUs with AVX the GEMM and SpMM run through the
+// eight-lane tiles of avx_amd64.s instead. These Go loops are the
+// implementation on every other GOARCH and the reference every kernel is
+// tested against bit for bit (inner_test.go).
+
+// useAVX sends gemmRows and SpMMFusedInto through the AVX tiles. It is
+// hasAVX, read from CPUID at init; only tests switch it, to run both paths.
+var useAVX = hasAVX
 
 // axpy4Go accumulates one streamed B row into four output row segments:
 // cX[j] += avX·bk[j]. It is deliberately a noinline leaf — with only the
@@ -41,5 +47,23 @@ func reluInPlaceGo(s []float32) {
 		if v < 0 {
 			s[i] = 0
 		}
+	}
+}
+
+// gemmTile4Go is gemmTile4 as the Go loops compute it: one axpy4Go per k
+// over the tile's w columns.
+func gemmTile4Go(c []float32, ldc int, a []float32, lda int, b []float32, ldb, k, w int) {
+	for kk := 0; kk < k; kk++ {
+		axpy4Go(b[kk*ldb:kk*ldb+w], c[:w], c[ldc:ldc+w], c[2*ldc:2*ldc+w], c[3*ldc:3*ldc+w],
+			a[kk], a[lda+kk], a[2*lda+kk], a[3*lda+kk])
+	}
+}
+
+// spmmRowGo is spmmRow as the Go loops compute it: one axpy1Go per
+// nonzero over the whole segment.
+func spmmRowGo(c, b []float32, ldb int, val []float32, col []int32) {
+	for p, v := range val {
+		k := int(col[p])
+		axpy1Go(b[k*ldb:k*ldb+len(c)], c, v)
 	}
 }

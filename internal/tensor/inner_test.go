@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -178,5 +179,120 @@ func TestMatVecFusedIntoZeroAllocs(t *testing.T) {
 	y := make([]float32, 11)
 	if allocs := testing.AllocsPerRun(100, func() { MatVecFusedInto(y, a, x, bias, true) }); allocs != 0 {
 		t.Fatalf("MatVecFusedInto allocs = %v, want 0", allocs)
+	}
+}
+
+// tileGuard fills every buffer cell a tile must not write.
+const tileGuard = -777
+
+// guardedRows lays rows rows of w values ld = w+gap apart at offset off in
+// a guard-filled buffer, with gap guard cells after the last row too, and
+// returns the buffer and the slice that starts at row 0. gap is at least a
+// tile's width, so a store to any lane past w lands on a guard.
+func guardedRows(rng *rand.Rand, rows, w, gap, off int) (s, buf []float32, ld int) {
+	ld = w + gap
+	buf = make([]float32, off+rows*ld)
+	for i := range buf {
+		buf[i] = tileGuard
+	}
+	for r := 0; r < rows; r++ {
+		copy(buf[off+r*ld:], mixedFloats(rng, w))
+	}
+	return buf[off:], buf, ld
+}
+
+// checkTile compares a tile's buffer with the Go loops' buffer bit for
+// bit. Guards count as elements, so a write outside the tile fails too.
+func checkTile(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	if i := sameBits(got, want); i >= 0 {
+		kind := "output"
+		if math.Float32bits(want[i]) == math.Float32bits(tileGuard) {
+			kind = "guard"
+		}
+		t.Fatalf("%s: %s cell %d = %v (%#x), want %v (%#x)",
+			name, kind, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+	}
+}
+
+// TestGEMMTileMatchesGo checks the 4×16 GEMM tile against the Go loops,
+// bit for bit, at every width from 0 to 47 (every tail from 1 to 15 after
+// zero, one and two full tiles), K from 0, every 4-byte misalignment of
+// C, A and B, and inputs mixed with specialFloats. Each output row sits
+// between guard cells at least a tile wide.
+func TestGEMMTileMatchesGo(t *testing.T) {
+	if !hasAVX {
+		t.Skip("no AVX: gemmTile4 is gemmTile4Go")
+	}
+	rng := rand.New(rand.NewSource(20))
+	for w := 0; w <= 47; w++ {
+		for _, k := range []int{0, 1, 2, 5} {
+			for _, off := range innerOffsets {
+				c, cbuf, ldc := guardedRows(rng, 4, w, 16, off)
+				a, _, lda := guardedRows(rng, 4, k, 3, (off+1)%4)
+				b, _, ldb := guardedRows(rng, k, w, 5, (off+2)%4)
+				want := append([]float32(nil), cbuf...)
+				gemmTile4(c, ldc, a, lda, b, ldb, k, w)
+				gemmTile4Go(want[off:], ldc, a, lda, b, ldb, k, w)
+				checkTile(t, fmt.Sprintf("gemmTile4 w=%d k=%d off=%d", w, k, off), cbuf, want)
+			}
+		}
+	}
+}
+
+// TestSpMMTileMatchesGo checks the 1×32 CSR tile against the Go loops the
+// same way: every width from 0 to 95 (every tail from 1 to 31 after zero,
+// one and two full tiles), rows with 0 to 7 nonzeros, repeated and
+// out-of-order column indices, every misalignment, and guard cells a
+// tile wide on both sides of the output segment.
+func TestSpMMTileMatchesGo(t *testing.T) {
+	if !hasAVX {
+		t.Skip("no AVX: spmmRow is spmmRowGo")
+	}
+	rng := rand.New(rand.NewSource(21))
+	const bRows = 6
+	for w := 0; w <= 95; w++ {
+		for _, nnz := range []int{0, 1, 3, 7} {
+			for _, off := range innerOffsets {
+				_, cbuf, _ := guardedRows(rng, 1, w, 32, 32+off)
+				c := cbuf[32+off : 32+off+w]
+				b, _, ldb := guardedRows(rng, bRows, w, 3, (off+3)%4)
+				val := mixedFloats(rng, nnz)
+				col := make([]int32, nnz)
+				for p := range col {
+					col[p] = int32(rng.Intn(bRows))
+				}
+				want := append([]float32(nil), cbuf...)
+				spmmRow(c, b, ldb, val, col)
+				spmmRowGo(want[32+off:32+off+w], b, ldb, val, col)
+				checkTile(t, fmt.Sprintf("spmmRow w=%d nnz=%d off=%d", w, nnz, off), cbuf, want)
+			}
+		}
+	}
+}
+
+// TestTilesPanicOutOfRange pins the wrappers' checks: a stride, length or
+// column index that would reach past a slice panics before the assembly
+// runs.
+func TestTilesPanicOutOfRange(t *testing.T) {
+	buf := make([]float32, 64)
+	for name, call := range map[string]func(){
+		"gemm c short":      func() { gemmTile4(buf[:3*16+15], 16, buf, 16, buf, 16, 1, 16) },
+		"gemm a short":      func() { gemmTile4(buf, 16, buf[:3*16+4], 16, buf, 16, 5, 16) },
+		"gemm b short":      func() { gemmTile4(buf, 16, buf, 16, buf[:16*3+15], 16, 4, 16) },
+		"gemm w over ld":    func() { gemmTile4(buf, 8, buf, 16, buf, 16, 1, 9) },
+		"gemm negative k":   func() { gemmTile4(buf, 16, buf, 16, buf, 16, -1, 0) },
+		"spmm col too big":  func() { spmmRow(buf[:8], buf, 16, []float32{1}, []int32{4}) },
+		"spmm col negative": func() { spmmRow(buf[:8], buf, 16, []float32{1}, []int32{-1}) },
+		"spmm col short":    func() { spmmRow(buf[:8], buf, 16, []float32{1, 2}, []int32{0}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: did not panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }

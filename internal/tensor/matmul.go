@@ -72,7 +72,7 @@ func (m *Matrix) Sparsity() float64 {
 	return 1 - float64(m.NNZ())/float64(len(m.Data))
 }
 
-// GEMM cache-blocking parameters (see docs/KERNELS.md). The kernel is
+// GEMM cache-blocking parameters (see docs/KERNELS.md). The SSE2 kernel is
 // tiled over j and k, but the tiles engage only when the B operand
 // exceeds gemmCacheBudget. When B is LLC-resident — every model-zoo conv
 // GEMM in this repo — tiling bought nothing: with the scalar inner loop it
@@ -86,6 +86,17 @@ const (
 	gemmBlockJ      = 1024
 	gemmBlockK      = 512
 	gemmCacheBudget = 8 << 20
+)
+
+// The AVX tiles walk B in panels of avxPanel columns (and, for the GEMM,
+// avxBlockK rows: at most 1 MiB), so a panel stays in L2 while every
+// output row streams over it. The SSE2 loop, bound by loading and storing
+// its outputs at every k, gained nothing from tiling; the tiles keep their
+// outputs in registers and run conv1 and conv2 about 1.8× faster with
+// panels than over B's full width (measurements in docs/KERNELS.md).
+const (
+	avxPanel  = 128
+	avxBlockK = 2048
 )
 
 // ParallelThreshold is the dst element count below which row-parallel GEMM
@@ -177,16 +188,20 @@ func checkGEMM(kernel string, dst, a, b *Matrix, bias []float32) {
 
 // gemmRows computes rows [r0,r1) of C = A×B with register blocking (quads
 // of A rows share each streamed B row), bias row initialization and an
-// optional ReLU epilogue. B operands within gemmCacheBudget — every
-// model-zoo shape — take the flat single-tile path; larger products go
-// through the j/k-tiled panel walk.
+// optional ReLU epilogue. With AVX every product takes the tile walk;
+// otherwise B operands within gemmCacheBudget — every model-zoo shape —
+// take the flat single-tile path and larger products the j/k-tiled panel
+// walk.
 func gemmRows(dst, a, b *Matrix, bias []float32, relu bool, r0, r1 int) {
 	if b.Cols == 0 {
 		return
 	}
-	if a.Cols*b.Cols*4 <= gemmCacheBudget {
+	switch {
+	case useAVX:
+		gemmRowsAVX(dst, a, b, bias, r0, r1)
+	case a.Cols*b.Cols*4 <= gemmCacheBudget:
 		gemmRowsFlat(dst, a, b, bias, r0, r1)
-	} else {
+	default:
 		gemmRowsTiled(dst, a, b, bias, r0, r1)
 	}
 	if relu {
@@ -302,6 +317,32 @@ func gemmRowsTiled(dst, a, b *Matrix, bias []float32, r0, r1 int) {
 					a.Data[i*kTot+kk:i*kTot+kw], bp, n)
 			}
 		}
+	}
+}
+
+// gemmRowsAVX computes rows [r0,r1) through the 4×16 AVX tile, one
+// avxBlockK × avxPanel block of B at a time with every row quad streaming
+// over it. Each k block resumes from the partial sums the previous one
+// stored, so every output is still summed in ascending k. The rows past
+// the last quad take gemmRow, as in gemmRowsFlat, so both paths group
+// rows alike and give bit-identical results.
+func gemmRowsAVX(dst, a, b *Matrix, bias []float32, r0, r1 int) {
+	n, kTot := b.Cols, a.Cols
+	for i := r0; i < r1; i++ {
+		initRow(dst.Data[i*n:(i+1)*n], bias, i)
+	}
+	quads := r0 + (r1-r0)&^3
+	for jj := 0; jj < n; jj += avxPanel {
+		w := min(avxPanel, n-jj)
+		for kk := 0; kk < kTot; kk += avxBlockK {
+			kw := min(avxBlockK, kTot-kk)
+			for i := r0; i < quads; i += 4 {
+				gemmTile4(dst.Data[i*n+jj:], n, a.Data[i*kTot+kk:], kTot, b.Data[kk*n+jj:], n, kw, w)
+			}
+		}
+	}
+	for i := quads; i < r1; i++ {
+		gemmRow(dst.Data[i*n:(i+1)*n], a.Data[i*kTot:(i+1)*kTot], b.Data, n)
 	}
 }
 

@@ -94,6 +94,13 @@ func SpMMFusedInto(dst *Matrix, s *CSR, b *Matrix, bias []float32, relu bool) {
 		panic(fmt.Sprintf("tensor: SpMM bias len %d, want %d", len(bias), s.Rows))
 	}
 	n := b.Cols
+	if useAVX {
+		spmmRowsAVX(dst, s, b, bias)
+		if relu {
+			reluInPlace(dst.Data)
+		}
+		return
+	}
 	for i := 0; i < s.Rows; i++ {
 		ci := dst.Data[i*n : (i+1)*n]
 		initRow(ci, bias, i)
@@ -103,6 +110,27 @@ func SpMMFusedInto(dst *Matrix, s *CSR, b *Matrix, bias []float32, relu bool) {
 		}
 		if relu {
 			reluInPlace(ci)
+		}
+	}
+}
+
+// spmmRowsAVX accumulates every row of S × B through the 1×32 AVX tile,
+// one avxPanel-column panel of B at a time with every row streaming over
+// it. Each output is summed over the row's nonzeros in stored order, as
+// the axpy1 loop sums it.
+func spmmRowsAVX(dst *Matrix, s *CSR, b *Matrix, bias []float32) {
+	n := b.Cols
+	for i := 0; i < s.Rows; i++ {
+		initRow(dst.Data[i*n:(i+1)*n], bias, i)
+	}
+	for jj := 0; jj < n; jj += avxPanel {
+		w := min(avxPanel, n-jj)
+		for i := 0; i < s.Rows; i++ {
+			p0, p1 := s.RowPtr[i], s.RowPtr[i+1]
+			if p0 == p1 {
+				continue // an empty (pruned) row keeps its bias
+			}
+			spmmRow(dst.Data[i*n+jj:i*n+jj+w], b.Data[jj:], n, s.Val[p0:p1], s.ColIdx[p0:p1])
 		}
 	}
 }

@@ -3,18 +3,20 @@
 # -count repetitions (so benchdiff has variance to reason about) and write
 # a sample-preserving ccperf/v1 bench envelope. Committed points live at
 # the repo root as BENCH_<n>.json, one per PR (see docs/TELEMETRY.md).
+# Each run lasts -benchtime (1s by default), so b.N grows until the
+# timing is stable, and five runs give benchdiff its samples.
 #
 #   scripts/bench-snapshot.sh                 # repo-root BENCH_<n+1>.json
 #   scripts/bench-snapshot.sh out/bench.json  # explicit path (CI artifact)
-#   COUNT=5 BENCHTIME=100ms scripts/bench-snapshot.sh   # more samples/time
+#   COUNT=2 BENCHTIME=200ms scripts/bench-snapshot.sh   # quicker, noisier
 #   LOADTEST=0 scripts/bench-snapshot.sh      # skip the macro loadtest run
 set -eu
 
 cd "$(dirname "$0")/.."
 
 sha=$(git rev-parse --short HEAD 2>/dev/null || echo nogit)
-benchtime=${BENCHTIME:-1x}
-count=${COUNT:-3}
+benchtime=${BENCHTIME:-1s}
+count=${COUNT:-5}
 loadtest=${LOADTEST:-1}
 
 # Default output: next free repo-root trajectory point BENCH_<n>.json.

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1+ gate: everything a PR must pass before merge (see ROADMAP.md).
 # Runs formatting, vet, build, the full test suite under the race
-# detector, and a two-count one-iteration benchmark smoke pass.
+# detector, a one-iteration benchmark smoke pass, and the benchdiff
+# regression gate on the hot-path benchmarks.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,8 +18,8 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-# The SSE2 kernels in internal/tensor are amd64-only; vetting for arm64
-# keeps the portable Go fallback compiling.
+# The SSE2 and AVX kernels in internal/tensor are amd64-only; vetting for
+# arm64 keeps the portable Go fallback compiling.
 echo "== GOARCH=arm64 go vet ./..."
 GOARCH=arm64 go vet ./...
 
@@ -33,32 +34,40 @@ go test -race ./...
 echo "== fuzz ParseDegree (10s)"
 go test -run - -fuzz '^FuzzParseDegree$' -fuzztime 10s ./internal/prune
 
-echo "== bench smoke (go test -run - -bench . -benchtime 1x -count 2)"
+echo "== bench smoke (go test -run - -bench . -benchtime 1x)"
 mkdir -p out
-# -count 2 gives every timing unit two samples, so the benchdiff gate can
-# run a real Welch test instead of the raw-threshold fallback — on a noisy
-# shared box a single 1x iteration of a millisecond-scale benchmark swings
-# well past any sane threshold without any code change.
-go test -run - -bench . -benchmem -benchtime 1x -count 2 \
-    . ./internal/tensor ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/tenant ./internal/shard | tee out/bench-check.txt
+# One iteration of every benchmark: each must run and terminate at b.N = 1.
+go test -run - -bench . -benchmem -benchtime 1x \
+    . ./internal/tensor ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/tenant ./internal/shard | tee out/bench-smoke.txt
 
-# Regression gate: diff the smoke run against the latest committed
-# trajectory point. The smoke is single-iteration and the baseline may
-# come from a different machine, so the default threshold is generous
-# (0.5 = 50%) — it catches order-of-magnitude breakage, not noise; the
-# committed-vs-committed trajectory carries the fine-grained story.
-# BENCHDIFF_SKIP=1 escapes the gate; an intentional perf change is
-# blessed by committing a fresh BENCH_<n+1>.json (docs/TELEMETRY.md).
+# Regression gate: rerun the gated hot-path benchmarks the way
+# scripts/bench-snapshot.sh records a trajectory point (time-based
+# -benchtime, five samples each, so benchdiff runs a real Welch test) and
+# diff them against the newest committed point. A one-iteration run is
+# no baseline for a time-based one: it reads a cold first call, several
+# times slower than the warmed loop on sub-microsecond benchmarks. The
+# -bench pattern is a superset of benchdiff.DefaultGatePattern; the
+# extra benchmarks are reported, never fatal. The baseline may come from
+# a different machine, so the default threshold is generous (0.5 = 50%):
+# it catches order-of-magnitude breakage, not noise; the committed
+# trajectory carries the fine-grained story. BENCHDIFF_SKIP=1 escapes the
+# gate; an intentional perf change is blessed by committing a fresh
+# BENCH_<n+1>.json (docs/TELEMETRY.md).
 baseline=$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1 || true)
 if [ "${BENCHDIFF_SKIP:-0}" = "1" ]; then
     echo "== benchdiff gate skipped (BENCHDIFF_SKIP=1)"
 elif [ -z "$baseline" ]; then
     echo "== benchdiff gate skipped (no committed BENCH_*.json baseline)"
 else
-    echo "== benchdiff gate (vs $baseline, threshold ${BENCHDIFF_THRESHOLD:-0.5})"
+    benchtime=${BENCHTIME:-1s}
+    count=${COUNT:-5}
+    echo "== benchdiff gate (gated benchmarks at -benchtime $benchtime -count $count vs $baseline, threshold ${BENCHDIFF_THRESHOLD:-0.5})"
+    go test -run - -benchmem -benchtime "$benchtime" -count "$count" \
+        -bench 'Enumerate|Batcher|GatewayThroughput|TenantFairness|[Mm]at[Mm]ul|ConvForward|ForwardWorkspace|ShardRouter|TransferFit' \
+        . ./internal/tensor ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/tenant ./internal/shard | tee out/bench-check.txt
     go run ./cmd/ccperf benchjson -in out/bench-check.txt \
         -sha "$(git rev-parse --short HEAD 2>/dev/null || echo nogit)" \
-        -benchtime 1x -count 2 -note check.sh -out out/bench-check.json
+        -benchtime "$benchtime" -count "$count" -note check.sh -out out/bench-check.json
     go run ./cmd/ccperf benchdiff \
         -threshold "${BENCHDIFF_THRESHOLD:-0.5}" -fail-on-regression \
         "$baseline" out/bench-check.json
