@@ -156,7 +156,9 @@ commands:
                 provenance, -loadtest folds a loadtest report's macro
                 numbers into the same snapshot)
   benchdiff     compare two bench envelopes with variance-aware statistics
-                (-threshold, -json, -fail-on-regression gate the hot paths)
+                (-threshold, -json, -fail-on-regression gate the hot paths;
+                -snapshot-env prints the bench-snapshot.sh settings that
+                rerun one envelope's gated benchmarks like for like)
 
 every subcommand answers -h with its own one-line usage and flags.
 shared flags across run commands:
@@ -880,6 +882,7 @@ func benchjsonCmd(args []string) error {
 	if len(results) == 0 {
 		return fmt.Errorf("benchjson: no benchmark result lines found")
 	}
+	procs := telemetry.BenchProcs(results)
 	if *loadtest != "" {
 		macro, err := loadtestBenchResults(*loadtest)
 		if err != nil {
@@ -889,16 +892,17 @@ func benchjsonCmd(args []string) error {
 	}
 	set := telemetry.BenchSet{
 		UnixNano: time.Now().UnixNano(),
-		// The runtime fields describe this process, which the snapshot
-		// scripts build with the same toolchain on the same machine, at
-		// the same GOMAXPROCS, as the benchmarks they convert.
+		// GOMAXPROCS comes from the result names, which go test suffixes
+		// with the value each run had. The Go version and CPU count
+		// describe this process, which the snapshot scripts build with the
+		// same toolchain on the same machine as the benchmarks they convert.
 		Meta: telemetry.BenchMeta{
 			GitSHA:     *sha,
 			Benchtime:  *benchtime,
 			Count:      *count,
 			Note:       *note,
 			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GOMAXPROCS: procs,
 			NumCPU:     runtime.NumCPU(),
 		},
 		Benchmarks: telemetry.CollectBench(results),
@@ -978,18 +982,38 @@ func loadtestBenchResults(path string) ([]telemetry.BenchResult, error) {
 }
 
 // benchdiffCmd compares two bench envelopes and optionally fails the run —
-// the regression gate scripts/check.sh and CI put in front of the
-// committed BENCH_<n>.json baseline:
+// the regression gate scripts/check.sh puts in front of the committed
+// BENCH_<n>.json baseline:
 //
 //	ccperf benchdiff -threshold 0.5 -fail-on-regression BENCH_6.json out/bench.json
+//
+// With -snapshot-env and one envelope it prints, for eval, the
+// scripts/bench-snapshot.sh settings that rerun the gated benchmarks the
+// way that envelope recorded them.
 func benchdiffCmd(args []string) error {
 	fs := newFlagSet("benchdiff", "compare two ccperf/v1 bench envelopes with variance-aware statistics")
 	threshold := fs.Float64("threshold", 0.10, "relative delta (fraction) below which a change is never a regression")
 	gatePat := fs.String("gate", benchdiff.DefaultGatePattern, "regexp of hot-path benchmarks whose regressions are fatal")
 	jsonOut := fs.Bool("json", false, "emit a ccperf/v1 benchdiff envelope instead of the text table")
 	failOn := fs.Bool("fail-on-regression", false, "exit non-zero when a gated benchmark regressed (or vanished)")
+	snapshotEnv := fs.Bool("snapshot-env", false, "print BENCH, BENCHTIME and COUNT for scripts/bench-snapshot.sh: the -gate pattern and the one given envelope's -benchtime and -count")
 	fs.Parse(args)
 	rest := fs.Args()
+	if *snapshotEnv {
+		if len(rest) != 1 {
+			return fmt.Errorf("benchdiff: -snapshot-env wants exactly one bench envelope, got %d args", len(rest))
+		}
+		set, err := benchdiff.Load(rest[0])
+		if err != nil {
+			return err
+		}
+		env, err := benchdiff.SnapshotEnv(set, *gatePat)
+		if err != nil {
+			return fmt.Errorf("benchdiff: %s: %w", rest[0], err)
+		}
+		_, err = fmt.Print(env)
+		return err
+	}
 	if len(rest) != 2 {
 		return fmt.Errorf("benchdiff: want exactly two bench envelopes, got %d args (usage: ccperf benchdiff [flags] <old.json> <new.json>)", len(rest))
 	}

@@ -242,6 +242,32 @@ func TestDefaultGatePattern(t *testing.T) {
 	}
 }
 
+// TestSnapshotEnv pins the rerun settings the regression gate evals: the
+// gate pattern and the baseline's -benchtime and -count, quoted so a
+// single quote survives, and an error for a baseline that recorded
+// neither.
+func TestSnapshotEnv(t *testing.T) {
+	got, err := SnapshotEnv(set(telemetry.BenchMeta{Benchtime: "1s", Count: 5}), DefaultGatePattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "BENCH='" + DefaultGatePattern + "'\nBENCHTIME='1s'\nCOUNT=5\n"; got != want {
+		t.Errorf("SnapshotEnv = %q, want %q", got, want)
+	}
+	got, err = SnapshotEnv(set(telemetry.BenchMeta{Benchtime: "1x", Count: 3}), "a'b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "BENCH='a'\\''b'\nBENCHTIME='1x'\nCOUNT=3\n"; got != want {
+		t.Errorf("SnapshotEnv quoting = %q, want %q", got, want)
+	}
+	for _, meta := range []telemetry.BenchMeta{{}, {Benchtime: "1s"}, {Count: 5}} {
+		if _, err := SnapshotEnv(set(meta), DefaultGatePattern); err == nil {
+			t.Errorf("SnapshotEnv(%+v) = nil error, want one", meta)
+		}
+	}
+}
+
 func TestLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bench.json")

@@ -90,6 +90,22 @@ func desanitizeUnit(u string) string {
 	return strings.ReplaceAll(u, "_per_", "/")
 }
 
+// SnapshotEnv returns the scripts/bench-snapshot.sh settings, one shell
+// assignment a line and single-quoted for eval, that rerun the benchmarks
+// gate selects the way baseline recorded them: BENCH is gate as the
+// -bench filter, BENCHTIME and COUNT are baseline's -benchtime and
+// -count. go test splits -bench only at slashes outside parentheses and
+// brackets, so DefaultGatePattern matches top-level names whole and runs
+// every sub-benchmark of a gated one.
+func SnapshotEnv(baseline *telemetry.BenchSet, gate string) (string, error) {
+	if baseline.Meta.Benchtime == "" || baseline.Meta.Count <= 0 {
+		return "", fmt.Errorf("no -benchtime and -count recorded, so no rerun can match it")
+	}
+	quote := func(v string) string { return "'" + strings.ReplaceAll(v, "'", `'\''`) + "'" }
+	return fmt.Sprintf("BENCH=%s\nBENCHTIME=%s\nCOUNT=%d\n",
+		quote(gate), quote(baseline.Meta.Benchtime), baseline.Meta.Count), nil
+}
+
 // CompareFiles loads both envelopes and diffs them.
 func CompareFiles(oldPath, newPath string, opt Options) (*Report, error) {
 	oldSet, err := Load(oldPath)

@@ -14,6 +14,9 @@ type BenchResult struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped,
 	// e.g. "BenchmarkSpaceEnumeration" or "BenchmarkAlgorithm1VsExhaustive/greedy".
 	Name string
+	// Procs is the GOMAXPROCS the run had: the stripped suffix, or 1 when
+	// the name has none (go test omits it at GOMAXPROCS=1).
+	Procs int
 	// Iterations is b.N for the reported run.
 	Iterations int64
 	// Values maps unit → value, e.g. "ns/op" → 123456, "model-evals" → 42.
@@ -42,8 +45,10 @@ func ParseBench(r io.Reader) ([]BenchResult, error) {
 		if err != nil {
 			continue // not an iteration count ⇒ not a result line
 		}
+		name, procs := splitProcSuffix(fields[0])
 		res := BenchResult{
-			Name:       trimProcSuffix(fields[0]),
+			Name:       name,
+			Procs:      procs,
 			Iterations: n,
 			Values:     make(map[string]float64, (len(fields)-2)/2),
 		}
@@ -62,17 +67,32 @@ func ParseBench(r io.Reader) ([]BenchResult, error) {
 	return out, nil
 }
 
-// trimProcSuffix drops the trailing -GOMAXPROCS from a benchmark name,
-// keeping sub-benchmark paths intact ("BenchmarkX/sub=1-8" → "BenchmarkX/sub=1").
-func trimProcSuffix(name string) string {
+// splitProcSuffix splits the trailing -GOMAXPROCS from a benchmark name,
+// keeping sub-benchmark paths intact ("BenchmarkX/sub=1-8" → "BenchmarkX/sub=1", 8).
+// A name without a numeric suffix ran at GOMAXPROCS=1.
+func splitProcSuffix(name string) (string, int) {
 	i := strings.LastIndex(name, "-")
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
+}
+
+// BenchProcs returns the GOMAXPROCS every result ran at, or 0 when they
+// differ (as under go test -cpu 1,2) or there are none.
+func BenchProcs(results []BenchResult) int {
+	procs := 0
+	for i, r := range results {
+		if i > 0 && r.Procs != procs {
+			return 0
+		}
+		procs = r.Procs
+	}
+	return procs
 }
 
 // BenchMeta records how a bench set was produced, so trajectory points can
@@ -89,7 +109,8 @@ type BenchMeta struct {
 	Note string `json:"note,omitempty"`
 	// GoVersion is the toolchain the runs were built with, e.g. "go1.24.0".
 	GoVersion string `json:"go_version,omitempty"`
-	// GOMAXPROCS is the parallelism the runs were given.
+	// GOMAXPROCS is the parallelism the runs were given, read from their
+	// result names' -P suffix (0 when the runs differ).
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	// NumCPU is the machine's logical CPU count.
 	NumCPU int `json:"num_cpu,omitempty"`

@@ -54,8 +54,9 @@ func TestParseBenchBadValue(t *testing.T) {
 }
 
 // TestParseBenchNameEdges pins the name handling: deep sub-benchmark paths
-// keep their slashes, the -GOMAXPROCS suffix is stripped exactly once, and
-// names whose final dash segment is not a number stay intact.
+// keep their slashes, the -GOMAXPROCS suffix is stripped exactly once and
+// kept as Procs, and names whose final dash segment is not a number stay
+// intact and ran at GOMAXPROCS=1.
 func TestParseBenchNameEdges(t *testing.T) {
 	in := strings.Join([]string{
 		"BenchmarkDeep/a=1/b=2-16 4 99 ns/op",
@@ -67,18 +68,44 @@ func TestParseBenchNameEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{
-		"BenchmarkDeep/a=1/b=2",
-		"BenchmarkNoProcSuffix",
-		"BenchmarkTrailing/size-large",
-		"BenchmarkDashNum/words-not-32x-bits",
+	want := []struct {
+		name  string
+		procs int
+	}{
+		{"BenchmarkDeep/a=1/b=2", 16},
+		{"BenchmarkNoProcSuffix", 1},
+		{"BenchmarkTrailing/size-large", 8},
+		{"BenchmarkDashNum/words-not-32x-bits", 1},
 	}
 	if len(results) != len(want) {
 		t.Fatalf("results = %d, want %d: %+v", len(results), len(want), results)
 	}
 	for i, w := range want {
-		if results[i].Name != w {
-			t.Errorf("name[%d] = %q, want %q", i, results[i].Name, w)
+		if results[i].Name != w.name || results[i].Procs != w.procs {
+			t.Errorf("result[%d] = %q at %d procs, want %q at %d", i, results[i].Name, results[i].Procs, w.name, w.procs)
+		}
+	}
+}
+
+// TestBenchProcs pins how a snapshot's GOMAXPROCS is read from its runs:
+// the common -P suffix, 1 for unsuffixed names, and 0 when the runs
+// disagree (go test -cpu 1,2) or there are none.
+func TestBenchProcs(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want int
+	}{
+		{"BenchmarkA-4 1 1 ns/op\nBenchmarkB/x-4 1 1 ns/op", 4},
+		{"BenchmarkA 1 1 ns/op", 1},
+		{"BenchmarkA 1 1 ns/op\nBenchmarkA-2 1 1 ns/op", 0},
+		{"PASS", 0},
+	} {
+		results, err := ParseBench(strings.NewReader(c.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := BenchProcs(results); got != c.want {
+			t.Errorf("BenchProcs(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
 }

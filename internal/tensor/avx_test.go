@@ -37,22 +37,27 @@ func bothPaths(t *testing.T, name string, dst *Matrix, kernel func(dst *Matrix))
 // TestAVXPathMatchesSSE2 compares the AVX tile walks with the SSE2 loops,
 // bit for bit, through MatMulFusedInto and SpMMFusedInto: row counts
 // that leave every remainder after the row quads, widths on both sides of
-// a tile and of a panel, K from 0 and across a k-block edge, with and
+// a tile and of a panel, K from 0 and across two k-block edges, with and
 // without bias and ReLU, on normal inputs and on inputs mixed with
-// specialFloats and zeros.
+// specialFloats and zeros. Each fill draws from its own seeded rng, so
+// every run sees the same inputs.
 func TestAVXPathMatchesSSE2(t *testing.T) {
 	if !hasAVX {
 		t.Skip("no AVX on this CPU")
 	}
-	rng := rand.New(rand.NewSource(22))
-	fills := map[string]func(int) []float32{
-		"normal":  func(n int) []float32 { return normalFloats(rng, n) },
-		"special": func(n int) []float32 { return mixedFloats(rng, n) },
+	fills := []struct {
+		name string
+		draw func(*rand.Rand, int) []float32
+	}{
+		{"normal", normalFloats},
+		{"special", mixedFloats},
 	}
-	for fill, values := range fills {
+	for fi, fill := range fills {
+		rng := rand.New(rand.NewSource(22 + int64(fi)))
+		values := func(n int) []float32 { return fill.draw(rng, n) }
 		for _, m := range []int{1, 4, 6, 11} {
 			for _, n := range []int{1, 15, 17, 33, avxPanel - 1, avxPanel, avxPanel + 9, 2*avxPanel + 31} {
-				for _, k := range []int{0, 1, 9, avxBlockK + 3} {
+				for _, k := range []int{0, 1, 9, 2*gemmBlockK + 3} {
 					a := MatrixFromSlice(values(m*k), m, k)
 					for i := range a.Data {
 						if rng.Intn(3) == 0 {
@@ -64,7 +69,7 @@ func TestAVXPathMatchesSSE2(t *testing.T) {
 					dst := MatrixFromSlice(values(m*n), m, n)
 					for _, bias := range [][]float32{nil, values(m)} {
 						for _, relu := range []bool{false, true} {
-							name := fmt.Sprintf("%s %dx%d·%dx%d bias=%v relu=%v", fill, m, k, k, n, bias != nil, relu)
+							name := fmt.Sprintf("%s %dx%d·%dx%d bias=%v relu=%v", fill.name, m, k, k, n, bias != nil, relu)
 							bothPaths(t, "MatMul "+name, dst, func(d *Matrix) { MatMulFusedInto(d, a, b, bias, relu) })
 							bothPaths(t, "SpMM "+name, dst, func(d *Matrix) { SpMMFusedInto(d, csr, b, bias, relu) })
 						}

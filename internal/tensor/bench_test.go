@@ -132,6 +132,22 @@ func filterPruned(w *Matrix) *Matrix {
 	return p
 }
 
+// BenchmarkGEMMOversized times a product on the oversized side of both
+// walks: B (8192×288, 9 MiB) exceeds gemmCacheBudget, so the SSE2 path
+// takes gemmRowsTiled, and a full-depth AVX panel (8192×avxPanel floats,
+// 4 MiB) would overflow a 2 MiB L2 without the gemmBlockK k blocks.
+func BenchmarkGEMMOversized(b *testing.B) {
+	const m, k, n = 128, 8192, 288
+	w := benchMatrix(m, k, 1, 13)
+	x := benchMatrix(k, n, 1, 14)
+	dst := NewMatrix(m, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulInto(dst, w, x)
+	}
+	b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
 // BenchmarkConvGEMM times one group of each Caffenet conv with its fused
 // bias and ReLU epilogue: the dense GEMM, and the CSR SpMM on 50%
 // filter-pruned weights. GFLOP/s counts 2·m·k·n for dense and 2·NNZ·n

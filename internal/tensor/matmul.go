@@ -89,15 +89,14 @@ const (
 )
 
 // The AVX tiles walk B in panels of avxPanel columns (and, for the GEMM,
-// avxBlockK rows: at most 1 MiB), so a panel stays in L2 while every
-// output row streams over it. The SSE2 loop, bound by loading and storing
-// its outputs at every k, gained nothing from tiling; the tiles keep their
+// gemmBlockK rows: 256 KiB), so a block stays in L2 while every output
+// row streams over it. The SSE2 loop, bound by loading and storing its
+// outputs at every k, gained nothing from tiling; the tiles keep their
 // outputs in registers and run conv1 and conv2 about 1.8× faster with
-// panels than over B's full width (measurements in docs/KERNELS.md).
-const (
-	avxPanel  = 128
-	avxBlockK = 2048
-)
+// panels than over B's full width, and an oversized product about 2.5×
+// faster with k blocks than over B's full depth (measurements in
+// docs/KERNELS.md).
+const avxPanel = 128
 
 // ParallelThreshold is the dst element count below which row-parallel GEMM
 // dispatch falls back to the serial kernel: goroutine fan-out costs more
@@ -321,7 +320,7 @@ func gemmRowsTiled(dst, a, b *Matrix, bias []float32, r0, r1 int) {
 }
 
 // gemmRowsAVX computes rows [r0,r1) through the 4×16 AVX tile, one
-// avxBlockK × avxPanel block of B at a time with every row quad streaming
+// gemmBlockK × avxPanel block of B at a time with every row quad streaming
 // over it. Each k block resumes from the partial sums the previous one
 // stored, so every output is still summed in ascending k. The rows past
 // the last quad take gemmRow, as in gemmRowsFlat, so both paths group
@@ -334,8 +333,8 @@ func gemmRowsAVX(dst, a, b *Matrix, bias []float32, r0, r1 int) {
 	quads := r0 + (r1-r0)&^3
 	for jj := 0; jj < n; jj += avxPanel {
 		w := min(avxPanel, n-jj)
-		for kk := 0; kk < kTot; kk += avxBlockK {
-			kw := min(avxBlockK, kTot-kk)
+		for kk := 0; kk < kTot; kk += gemmBlockK {
+			kw := min(gemmBlockK, kTot-kk)
 			for i := r0; i < quads; i += 4 {
 				gemmTile4(dst.Data[i*n+jj:], n, a.Data[i*kTot+kk:], kTot, b.Data[kk*n+jj:], n, kw, w)
 			}

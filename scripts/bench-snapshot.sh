@@ -10,11 +10,13 @@
 #   scripts/bench-snapshot.sh out/bench.json  # explicit path (CI artifact)
 #   COUNT=2 BENCHTIME=200ms scripts/bench-snapshot.sh   # quicker, noisier
 #   LOADTEST=0 scripts/bench-snapshot.sh      # skip the macro loadtest run
+#   BENCH='^BenchmarkMatMul$' scripts/bench-snapshot.sh out/m.json  # -bench filter
 set -eu
 
 cd "$(dirname "$0")/.."
 
 sha=$(git rev-parse --short HEAD 2>/dev/null || echo nogit)
+bench=${BENCH:-.}
 benchtime=${BENCHTIME:-1s}
 count=${COUNT:-5}
 loadtest=${LOADTEST:-1}
@@ -31,8 +33,8 @@ fi
 
 mkdir -p out
 
-echo "bench snapshot: micro benchmarks (-benchtime $benchtime -count $count)"
-go test -run - -bench . -benchmem -benchtime "$benchtime" -count "$count" \
+echo "bench snapshot: micro benchmarks (-bench '$bench' -benchtime $benchtime -count $count)"
+go test -run - -bench "$bench" -benchmem -benchtime "$benchtime" -count "$count" \
     . ./internal/tensor ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/tenant ./internal/shard > out/bench-raw.txt
 
 loadtest_flag=""

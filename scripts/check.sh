@@ -40,34 +40,29 @@ mkdir -p out
 go test -run - -bench . -benchmem -benchtime 1x \
     . ./internal/tensor ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/tenant ./internal/shard | tee out/bench-smoke.txt
 
-# Regression gate: rerun the gated hot-path benchmarks the way
-# scripts/bench-snapshot.sh records a trajectory point (time-based
-# -benchtime, five samples each, so benchdiff runs a real Welch test) and
-# diff them against the newest committed point. A one-iteration run is
-# no baseline for a time-based one: it reads a cold first call, several
+# Regression gate: rerun the gated hot-path benchmarks
+# (benchdiff.DefaultGatePattern) the way the newest committed trajectory
+# point recorded them, at its -benchtime and -count, and diff the two.
+# `ccperf benchdiff -snapshot-env` reads those settings from the point's
+# meta, so the rerun always matches its baseline: a one-iteration run is
+# no baseline for a time-based one, as it reads a cold first call, several
 # times slower than the warmed loop on sub-microsecond benchmarks. The
-# -bench pattern is a superset of benchdiff.DefaultGatePattern; the
-# extra benchmarks are reported, never fatal. The baseline may come from
-# a different machine, so the default threshold is generous (0.5 = 50%):
-# it catches order-of-magnitude breakage, not noise; the committed
-# trajectory carries the fine-grained story. BENCHDIFF_SKIP=1 escapes the
-# gate; an intentional perf change is blessed by committing a fresh
-# BENCH_<n+1>.json (docs/TELEMETRY.md).
+# baseline may come from a different machine, so the default threshold is
+# generous (0.5 = 50%): it catches order-of-magnitude breakage, not noise;
+# the committed trajectory carries the fine-grained story. BENCHDIFF_SKIP=1
+# escapes the gate; an intentional perf change is blessed by committing a
+# fresh BENCH_<n+1>.json (docs/TELEMETRY.md).
 baseline=$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1 || true)
 if [ "${BENCHDIFF_SKIP:-0}" = "1" ]; then
     echo "== benchdiff gate skipped (BENCHDIFF_SKIP=1)"
 elif [ -z "$baseline" ]; then
     echo "== benchdiff gate skipped (no committed BENCH_*.json baseline)"
 else
-    benchtime=${BENCHTIME:-1s}
-    count=${COUNT:-5}
-    echo "== benchdiff gate (gated benchmarks at -benchtime $benchtime -count $count vs $baseline, threshold ${BENCHDIFF_THRESHOLD:-0.5})"
-    go test -run - -benchmem -benchtime "$benchtime" -count "$count" \
-        -bench 'Enumerate|Batcher|GatewayThroughput|TenantFairness|[Mm]at[Mm]ul|ConvForward|ForwardWorkspace|ShardRouter|TransferFit' \
-        . ./internal/tensor ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/tenant ./internal/shard | tee out/bench-check.txt
-    go run ./cmd/ccperf benchjson -in out/bench-check.txt \
-        -sha "$(git rev-parse --short HEAD 2>/dev/null || echo nogit)" \
-        -benchtime "$benchtime" -count "$count" -note check.sh -out out/bench-check.json
+    rerun=$(go run ./cmd/ccperf benchdiff -snapshot-env "$baseline")
+    eval "$rerun" # sets BENCH, BENCHTIME and COUNT
+    echo "== benchdiff gate (gated benchmarks at -benchtime $BENCHTIME -count $COUNT, as $baseline recorded them; threshold ${BENCHDIFF_THRESHOLD:-0.5})"
+    BENCH=$BENCH BENCHTIME=$BENCHTIME COUNT=$COUNT LOADTEST=0 \
+        scripts/bench-snapshot.sh out/bench-check.json
     go run ./cmd/ccperf benchdiff \
         -threshold "${BENCHDIFF_THRESHOLD:-0.5}" -fail-on-regression \
         "$baseline" out/bench-check.json
