@@ -163,6 +163,37 @@ func BenchmarkAblationPruningMethods(b *testing.B) {
 	}
 }
 
+// BenchmarkCaffenetForwardBatch is the engine's version of the paper's
+// Figure 5: ForwardBatchPool on two workers, as ccbench's infer-caffenet
+// runs it, at batches of 1, 2, 4 and 8 Caffenet images (224×224),
+// reporting ms per image. From two images on, each FC layer runs once
+// over the batch. The net is built once, outside the sub-benchmarks.
+func BenchmarkCaffenetForwardBatch(b *testing.B) {
+	net := models.Caffenet()
+	if err := net.Init(1); err != nil {
+		b.Fatal(err)
+	}
+	in := net.Input
+	imgs := make([]*tensor.Tensor, 8)
+	for i := range imgs {
+		imgs[i] = tensor.New(in.C, in.H, in.W)
+		for j := range imgs[i].Data {
+			imgs[i].Data[j] = float32((j*17+i*131)%255)/255 - 0.5
+		}
+	}
+	pool := nn.NewWorkspacePool(1)
+	for _, batch := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("B=%d", batch), func(b *testing.B) {
+			net.ForwardBatchPool(imgs[:batch], 2, pool) // warm the workspaces
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.ForwardBatchPool(imgs[:batch], 2, pool)
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*batch), "ms/image")
+		})
+	}
+}
+
 // BenchmarkAblationBatchSize shows the simulated-cloud cost of running
 // below, at, and above the GPU saturation batch (DESIGN.md §6.3).
 func BenchmarkAblationBatchSize(b *testing.B) {

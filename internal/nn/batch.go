@@ -26,53 +26,114 @@ func (n *Net) ForwardBatch(images []*tensor.Tensor, workers int) []*tensor.Tenso
 // workspace taken from pool, so steady-state batches allocate only the
 // (small) output clones — the activations that must outlive workspace
 // reuse. A nil pool heap-allocates everything.
+//
+// Worker w runs images w, w+workers, …. A batch of two or more images
+// through a net with an FC tail (planTail) runs each image's layers up to
+// the tail that way, then each dense FC of the tail once over the whole
+// batch with its rows split across the workers, so the FC weights stream
+// from memory once per batch instead of once per image. The outputs are
+// bit-identical to Forward's either way.
 func (n *Net) ForwardBatchPool(images []*tensor.Tensor, workers int, pool *WorkspacePool) []*tensor.Tensor {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(images) {
-		workers = len(images)
-	}
+	workers = min(workers, len(images))
 	out := make([]*tensor.Tensor, len(images))
-	if workers <= 1 {
-		if pool == nil {
-			for i, img := range images {
-				out[i] = n.Forward(img, nil)
-			}
-			return out
-		}
-		ws := pool.Get()
-		for i, img := range images {
-			out[i] = n.Forward(img, ws).Clone()
-		}
-		pool.Put(ws)
+	if workers == 0 {
 		return out
 	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if pool == nil {
-				for i := range jobs {
-					out[i] = n.Forward(images[i], nil)
+	wss := make([]*Workspace, workers) // nil without a pool
+	if pool != nil {
+		for w := range wss {
+			wss[w] = pool.Get()
+		}
+	}
+	if n.tail >= 0 && len(images) > 1 {
+		n.forwardBatchTail(images, out, wss)
+		if pool != nil {
+			for i := range out {
+				out[i] = out[i].Clone()
+			}
+		}
+	} else {
+		onWorkers(workers, func(w int) {
+			for i := w; i < len(images); i += workers {
+				out[i] = n.Forward(images[i], wss[w])
+				if pool != nil {
+					out[i] = out[i].Clone()
 				}
-				return
 			}
-			ws := pool.Get()
-			defer pool.Put(ws)
-			for i := range jobs {
-				out[i] = n.Forward(images[i], ws).Clone()
-			}
-		}()
+		})
 	}
-	for i := range images {
-		jobs <- i
+	if pool != nil {
+		for _, ws := range wss {
+			pool.Put(ws)
+		}
 	}
-	close(jobs)
-	wg.Wait()
 	return out
+}
+
+// forwardBatchTail sets out[i] to the output of images[i], running image
+// i's layers in workspace wss[i % len(wss)]. The layers outside the tail's
+// dense FCs run per image on the workers, through the loop Forward runs;
+// each dense FC runs once for all images (tensor.ParallelMatVecsFusedInto),
+// while no worker touches its workspace. A workspace is reset once per
+// batch, by the pool, so every image's activations up to the tail stay
+// leased until the batch ends.
+func (n *Net) forwardBatchTail(images, out []*tensor.Tensor, wss []*Workspace) {
+	for _, img := range images {
+		n.checkInput(img)
+	}
+	copy(out, images)
+	workers := len(wss)
+	perImage := func(from, to int) {
+		if from == to {
+			return
+		}
+		onWorkers(workers, func(w int) {
+			for i := w; i < len(out); i += workers {
+				out[i] = n.forwardLayers(out[i], wss[w], from, to)
+			}
+		})
+	}
+	ys := make([]*tensor.Tensor, len(out))
+	xd, yd := make([][]float32, len(out)), make([][]float32, len(out))
+	from := 0
+	for l := n.tail; l < len(n.layers); l++ {
+		f, ok := n.layers[l].(*FC)
+		if !ok || f.useCSR {
+			continue // CSR FCs run per image
+		}
+		perImage(from, l)
+		for i, x := range out {
+			ys[i] = wsAcquire(wss[i%workers], f.Out, 1, 1)
+			xd[i], yd[i] = x.Data, ys[i].Data
+		}
+		tensor.ParallelMatVecsFusedInto(yd, f.weights, xd, f.bias, f.fuseReLU, workers)
+		for i, x := range out {
+			if ws := wss[i%workers]; ws != nil {
+				ws.Release(x)
+			}
+		}
+		copy(out, ys)
+		from = l + 1
+	}
+	perImage(from, len(n.layers))
+}
+
+// onWorkers runs fn(0), …, fn(workers−1) concurrently, fn(0) on the
+// calling goroutine, and returns once all of them have.
+func onWorkers(workers int, fn func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			fn(w)
+		}(w)
+	}
+	fn(0)
+	wg.Wait()
 }
 
 // Classify runs one image and returns its Top-1 class index and the Top-k

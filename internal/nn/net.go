@@ -17,11 +17,15 @@ type Net struct {
 	// epilogue (ReLU after conv/FC) and skipped by Forward. Computed by
 	// planFusion during Init; nil means nothing is fused.
 	fused []bool
+	// tail is the index of the first layer of the FC tail that
+	// ForwardBatchPool runs once over a whole batch, or -1 when the net
+	// has none or Init has not run. Computed by planTail during Init.
+	tail int
 }
 
 // NewNet constructs an empty network with the given input shape.
 func NewNet(name string, input Shape) *Net {
-	return &Net{Name: name, Input: input}
+	return &Net{Name: name, Input: input, tail: -1}
 }
 
 // Add appends layers.
@@ -56,6 +60,7 @@ func (n *Net) Init(seed int64) error {
 		s = l.OutShape(s)
 	}
 	n.planFusion()
+	n.planTail()
 	return nil
 }
 
@@ -80,6 +85,30 @@ func (n *Net) planFusion() {
 	}
 }
 
+// planTail finds the FC tail: the layers from the first FC on, when
+// every layer after it is an FC, a ReLU fused into one, a Dropout or a
+// Softmax. Those layers act on one small vector per image, so
+// ForwardBatchPool can run each FC of the tail once over the batch.
+func (n *Net) planTail() {
+	n.tail = -1
+	for i, l := range n.layers {
+		if _, ok := l.(*FC); !ok {
+			continue
+		}
+		for j := i + 1; j < len(n.layers); j++ {
+			switch n.layers[j].(type) {
+			case *FC, *Dropout, *Softmax:
+			default:
+				if !n.fused[j] { // a ReLU folded into the FC before it
+					return
+				}
+			}
+		}
+		n.tail = i
+		return
+	}
+}
+
 // OutShape returns the network output shape.
 func (n *Net) OutShape() Shape {
 	s := n.Input
@@ -97,18 +126,30 @@ func (n *Net) OutShape() Shape {
 // same workspace — Clone it to keep it longer. ws == nil allocates every
 // activation on the heap (see ForwardAlloc).
 func (n *Net) Forward(in *tensor.Tensor, ws *Workspace) *tensor.Tensor {
-	if in.Dim(0) != n.Input.C || in.Dim(1) != n.Input.H || in.Dim(2) != n.Input.W {
-		panic(fmt.Sprintf("nn: %s input shape %v, want %v", n.Name, in.Shape, n.Input))
-	}
+	n.checkInput(in)
 	if ws != nil {
 		ws.Reset()
 	}
-	x := in
-	for i, l := range n.layers {
+	return n.forwardLayers(in, ws, 0, len(n.layers))
+}
+
+func (n *Net) checkInput(in *tensor.Tensor) {
+	if in.Dim(0) != n.Input.C || in.Dim(1) != n.Input.H || in.Dim(2) != n.Input.W {
+		panic(fmt.Sprintf("nn: %s input shape %v, want %v", n.Name, in.Shape, n.Input))
+	}
+}
+
+// forwardLayers runs layers [from,to) on x, skipping fused layers, and
+// releases each intermediate to ws once the next layer has consumed it;
+// x itself is never released. Forward runs it over the whole net, and
+// ForwardBatchPool over each image's layers outside the batched FCs.
+func (n *Net) forwardLayers(x *tensor.Tensor, ws *Workspace, from, to int) *tensor.Tensor {
+	in := x
+	for i := from; i < to; i++ {
 		if n.fused != nil && n.fused[i] {
 			continue // folded into the previous layer's kernel epilogue
 		}
-		y := l.Forward(x, ws)
+		y := n.layers[i].Forward(x, ws)
 		if ws != nil && x != in && x != y && !sameData(x, y) {
 			ws.Release(x)
 		}

@@ -149,11 +149,15 @@ func (m BenchMeta) String() string {
 	return sha + " (" + strings.Join(opts, " ") + ")"
 }
 
-// BenchSeries is every run of one benchmark across -count repetitions —
-// the sample-preserving form BenchSnapshot's last-write-wins maps cannot
-// express, and the input variance-aware diffing needs.
+// BenchSeries is every run of one benchmark at one GOMAXPROCS across
+// -count repetitions — the sample-preserving form BenchSnapshot's
+// last-write-wins maps cannot express, and the input variance-aware
+// diffing needs.
 type BenchSeries struct {
-	// Name is the benchmark name with the -GOMAXPROCS suffix stripped.
+	// Name is the benchmark name with the -GOMAXPROCS suffix stripped,
+	// unless the benchmark ran at several GOMAXPROCS values (go test -cpu
+	// 1,2): then each value's series keeps its suffix, as "BenchmarkX-1"
+	// and "BenchmarkX-2".
 	Name string `json:"name"`
 	// Iterations is b.N per run, in input order.
 	Iterations []int64 `json:"iterations"`
@@ -175,18 +179,31 @@ type BenchSet struct {
 	Benchmarks []BenchSeries `json:"benchmarks"`
 }
 
-// CollectBench groups parsed result lines into per-benchmark series,
-// preserving every -count repetition as a separate sample. Output is
-// sorted by benchmark name.
+// CollectBench groups parsed result lines into one series per benchmark
+// name and GOMAXPROCS, preserving every -count repetition as a separate
+// sample, so runs at different GOMAXPROCS never mix in one series. Output
+// is sorted by series name.
 func CollectBench(results []BenchResult) []BenchSeries {
-	byName := make(map[string]*BenchSeries)
-	order := make([]string, 0, len(byName))
+	procs := make(map[string]int) // a name's GOMAXPROCS, or -1 for several
 	for _, r := range results {
-		s, ok := byName[r.Name]
+		if p, seen := procs[r.Name]; !seen {
+			procs[r.Name] = r.Procs
+		} else if p != r.Procs {
+			procs[r.Name] = -1
+		}
+	}
+	byName := make(map[string]*BenchSeries)
+	var order []string
+	for _, r := range results {
+		name := r.Name
+		if procs[name] < 0 {
+			name = fmt.Sprintf("%s-%d", name, r.Procs)
+		}
+		s, ok := byName[name]
 		if !ok {
-			s = &BenchSeries{Name: r.Name, Values: make(map[string][]float64)}
-			byName[r.Name] = s
-			order = append(order, r.Name)
+			s = &BenchSeries{Name: name, Values: make(map[string][]float64)}
+			byName[name] = s
+			order = append(order, name)
 		}
 		s.Iterations = append(s.Iterations, r.Iterations)
 		for unit, v := range r.Values {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -227,6 +228,38 @@ func TestBenchMetaString(t *testing.T) {
 	} {
 		if got := c.meta.String(); got != c.want {
 			t.Errorf("%+v: String() = %q, want %q", c.meta, got, c.want)
+		}
+	}
+}
+
+// TestCollectBenchKeepsProcsApart pins that runs at different GOMAXPROCS
+// never share a series: `go test -cpu 1,2` output gives one series per
+// value, named with its -P suffix, while a benchmark that ran at one value
+// keeps its bare name, as every committed BENCH_<n>.json records it.
+func TestCollectBenchKeepsProcsApart(t *testing.T) {
+	results, err := ParseBench(strings.NewReader(strings.Join([]string{
+		"BenchmarkFoo 10 100 ns/op",
+		"BenchmarkFoo-2 10 50 ns/op",
+		"BenchmarkFoo 10 110 ns/op",
+		"BenchmarkBar-2 10 7 ns/op",
+		"BenchmarkBar-2 10 8 ns/op",
+	}, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]float64{
+		"BenchmarkBar":   {7, 8},
+		"BenchmarkFoo-1": {100, 110},
+		"BenchmarkFoo-2": {50},
+	}
+	series := CollectBench(results)
+	if len(series) != len(want) {
+		t.Fatalf("series = %+v, want %v", series, want)
+	}
+	for _, s := range series {
+		w, ok := want[s.Name]
+		if got := s.Values["ns/op"]; !ok || fmt.Sprint(got) != fmt.Sprint(w) {
+			t.Errorf("series %s ns/op = %v, want %v", s.Name, got, w)
 		}
 	}
 }

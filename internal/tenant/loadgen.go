@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -236,29 +237,15 @@ func RunLoad(m *Mux, cfg LoadConfig) (*Report, error) {
 
 func countTenantError(tr *TenantReport, err error) {
 	switch {
-	case isErr(err, ErrQuotaExceeded):
+	case errors.Is(err, ErrQuotaExceeded):
 		tr.Rejected++
-	case isErr(err, serving.ErrOverloaded):
+	case errors.Is(err, serving.ErrOverloaded):
 		tr.Shed++
-	case isErr(err, serving.ErrExpired):
+	case errors.Is(err, serving.ErrExpired):
 		tr.Expired++
-	case isErr(err, serving.ErrFaulted):
+	case errors.Is(err, serving.ErrFaulted):
 		tr.Faulted++
 	}
-}
-
-func isErr(err, target error) bool {
-	for err != nil {
-		if err == target {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // String renders the report for the CLI: one block per tenant plus the

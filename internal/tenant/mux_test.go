@@ -3,6 +3,7 @@ package tenant
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -377,5 +378,31 @@ func TestStopDrainsBacklog(t *testing.T) {
 	}
 	if _, err := m.SubmitAs(context.Background(), "a", testTenantImage(0), time.Time{}); !errors.Is(err, serving.ErrStopped) {
 		t.Fatalf("submit after stop = %v, want ErrStopped", err)
+	}
+}
+
+// TestCountTenantError pins how the load driver files a failed request:
+// by errors.Is, so a sentinel wrapped by %w or joined by errors.Join still
+// lands in its outcome.
+func TestCountTenantError(t *testing.T) {
+	type counts struct{ rejected, shed, expired, faulted int }
+	for _, c := range []struct {
+		name string
+		err  error
+		want counts
+	}{
+		{"quota", ErrQuotaExceeded, counts{rejected: 1}},
+		{"wrapped quota", fmt.Errorf("admit: %w", ErrQuotaExceeded), counts{rejected: 1}},
+		{"joined quota", errors.Join(errors.New("tenant a"), ErrQuotaExceeded), counts{rejected: 1}},
+		{"shed", serving.ErrOverloaded, counts{shed: 1}},
+		{"expired", fmt.Errorf("late: %w", serving.ErrExpired), counts{expired: 1}},
+		{"joined fault", errors.Join(serving.ErrFaulted, errors.New("replica 2")), counts{faulted: 1}},
+		{"other", errors.New("boom"), counts{}},
+	} {
+		var tr TenantReport
+		countTenantError(&tr, c.err)
+		if got := (counts{tr.Rejected, tr.Shed, tr.Expired, tr.Faulted}); got != c.want {
+			t.Errorf("%s: counts = %+v, want %+v", c.name, got, c.want)
+		}
 	}
 }

@@ -54,6 +54,19 @@ func spmmRow(c, b []float32, ldb int, val []float32, col []int32) {
 	spmmRowAVX(c, b, ldb, val, col)
 }
 
+// matVecTile8 sums eight rows of w, ldw apart, against one or two
+// images: s[r] = Σ_{j<k} w[r·ldw+j]·x0[j] and, when x1 is not empty,
+// s[8+r] = Σ_{j<k} w[r·ldw+j]·x1[j], for r < 8, each summed in ascending
+// j from +0 as dotRow sums it. k is a multiple of 8; the caller continues
+// each sum over the columns past k. Like gemmTile4 it checks that every
+// element the kernel reads lies inside its slice.
+func matVecTile8(s *[16]float32, w []float32, ldw int, x0, x1 []float32, k int) {
+	if k < 0 || k%8 != 0 || len(x0) < k || (len(x1) > 0 && len(x1) < k) || (k > 0 && !spans(w, 8, ldw, k)) {
+		panic("tensor: matvec tile out of range")
+	}
+	matVecTile8AVX(s, w, ldw, x0, x1, k)
+}
+
 // spans reports whether s holds rows rows of w elements each, ld apart
 // (s[r·ld : r·ld+w] for r < rows), without the rows overlapping.
 func spans(s []float32, rows, ld, w int) bool {
@@ -65,6 +78,9 @@ func gemmTile4AVX(c []float32, ldc int, a []float32, lda int, b []float32, ldb, 
 
 //go:noescape
 func spmmRowAVX(c, b []float32, ldb int, val []float32, col []int32)
+
+//go:noescape
+func matVecTile8AVX(s *[16]float32, w []float32, ldw int, x0, x1 []float32, k int)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -1,14 +1,16 @@
 #include "textflag.h"
 
-// Eight-lane AVX tiles for the dense GEMM and the CSR SpMM. Unlike the
-// SSE2 axpy loops, which load and store every output element once per k,
-// a tile keeps its outputs in YMM registers for the whole k loop and
-// stores them once. Each lane still does what the Go loop in inner.go
-// does to its element, in the same order: VMULPS with the B element as
-// its first source, then VADDPS with the product as its first source
-// (the VEX three-operand form names both sources, so no copy is needed).
-// There is no FMA, so every product is rounded before the add; the
-// operand order fixes which payload a NaN·NaN or NaN+NaN returns. The
+// Eight-lane AVX tiles for the dense GEMM, the CSR SpMM and the FC
+// matrix-vector product. Unlike the SSE2 axpy loops, which load and store
+// every output element once per k, a tile keeps its outputs in YMM
+// registers for the whole k loop and stores them once. Each lane still
+// does what the Go loop in inner.go does to its element, in the same
+// order: for the GEMM and SpMM, VMULPS with the B element as its first
+// source, then VADDPS with the product as its first source (the VEX
+// three-operand form names both sources, so no copy is needed); the
+// matrix-vector tile keeps MatVec's own order (see MV_MULADD). There is
+// no FMA, so every product is rounded before the add; the operand order
+// fixes which payload a NaN·NaN or NaN+NaN returns. The
 // last partial tile of a panel runs the same instructions on masked
 // loads and stores (VMASKMOVPS), which neither read nor write a lane
 // outside the mask. Every kernel clears the upper YMM state before it
@@ -272,6 +274,115 @@ spmmtailstore:
 	VMASKMOVPS Y3, Y15, 96(DI)
 
 spmmdone:
+	VZEROUPPER
+	RET
+
+// The matrix-vector tile's lanes are eight consecutive rows of W, not
+// eight columns: lane r sums row r in ascending j from +0, as MatVec's Go
+// loop does, so no lane ever adds out of order. SI points at rows 0–3 of
+// the tile's next eight columns and R11 at rows 4–7; R8 is ldw in bytes
+// and R9 three times that. MV_LOAD4(off) loads four columns of the
+// eight rows at byte offset off: each of rows 0–3 into the low half of
+// Y0–Y3 and row r+4 into the high half of row r's register. It then
+// transposes each half as a 4×4 block (VUNPCKLPS/VUNPCKHPS, then
+// VSHUFPS), leaving column off/4+c, W[0..7][c], in Yc for c < 4.
+#define MV_LOAD4(off) \
+	VMOVUPS     off(SI), X0; \
+	VINSERTF128 $1, off(R11), Y0, Y0; \
+	VMOVUPS     off(SI)(R8*1), X1; \
+	VINSERTF128 $1, off(R11)(R8*1), Y1, Y1; \
+	VMOVUPS     off(SI)(R8*2), X2; \
+	VINSERTF128 $1, off(R11)(R8*2), Y2, Y2; \
+	VMOVUPS     off(SI)(R9*1), X3; \
+	VINSERTF128 $1, off(R11)(R9*1), Y3, Y3; \
+	VUNPCKLPS   Y1, Y0, Y4; \
+	VUNPCKHPS   Y1, Y0, Y5; \
+	VUNPCKLPS   Y3, Y2, Y6; \
+	VUNPCKHPS   Y3, Y2, Y7; \
+	VSHUFPS     $0x44, Y6, Y4, Y0; \
+	VSHUFPS     $0xee, Y6, Y4, Y1; \
+	VSHUFPS     $0x44, Y7, Y5, Y2; \
+	VSHUFPS     $0xee, Y7, Y5, Y3
+
+// acc += col · x[j], with x[j] broadcast from xj into tmp and the product
+// rounded in prod before the add. The go1.24 amd64 code of MatVec's loop
+// is MULSS X4, X5 with W in X5, then ADDSS X5, X0 into the sum: W is the
+// first source of the multiply and the sum the first source of the add,
+// and so they are here. That order fixes which payload a NaN·NaN product
+// or a NaN+NaN sum returns.
+#define MV_MULADD(col, xj, tmp, prod, acc) \
+	VBROADCASTSS xj, tmp; \
+	VMULPS       tmp, col, prod; \
+	VADDPS       prod, acc, acc
+
+// Four columns at byte offset off for the image at AX, summed into Y14.
+#define MV_STEP_X0(off) \
+	MV_LOAD4(off); \
+	MV_MULADD(Y0, off(AX), Y8, Y9, Y14); \
+	MV_MULADD(Y1, off+4(AX), Y8, Y9, Y14); \
+	MV_MULADD(Y2, off+8(AX), Y8, Y9, Y14); \
+	MV_MULADD(Y3, off+12(AX), Y8, Y9, Y14)
+
+// Four columns at byte offset off for the images at AX and BX, summed
+// into Y14 and Y15.
+#define MV_STEP_X01(off) \
+	MV_LOAD4(off); \
+	MV_MULADD(Y0, off(AX), Y8, Y9, Y14); \
+	MV_MULADD(Y0, off(BX), Y10, Y11, Y15); \
+	MV_MULADD(Y1, off+4(AX), Y8, Y9, Y14); \
+	MV_MULADD(Y1, off+4(BX), Y10, Y11, Y15); \
+	MV_MULADD(Y2, off+8(AX), Y8, Y9, Y14); \
+	MV_MULADD(Y2, off+8(BX), Y10, Y11, Y15); \
+	MV_MULADD(Y3, off+12(AX), Y8, Y9, Y14); \
+	MV_MULADD(Y3, off+12(BX), Y10, Y11, Y15)
+
+// func matVecTile8AVX(s *[16]float32, w []float32, ldw int, x0, x1 []float32, k int)
+//
+// For r < 8: s[r] = Σ_{j<k} w[r·ldw+j]·x0[j] and, when x1 is not empty,
+// s[8+r] = Σ_{j<k} w[r·ldw+j]·x1[j], each summed in ascending j from +0.
+// With x1 empty, s[8:16] is set to +0. k is a multiple of 8.
+TEXT ·matVecTile8AVX(SB), NOSPLIT, $0-96
+	MOVQ   s+0(FP), DI
+	MOVQ   w_base+8(FP), SI
+	MOVQ   ldw+32(FP), R8
+	SHLQ   $2, R8
+	LEAQ   (R8)(R8*2), R9 // 3·ldw bytes
+	LEAQ   (SI)(R8*4), R11 // row 4
+	MOVQ   x0_base+40(FP), AX
+	MOVQ   x1_base+64(FP), BX
+	MOVQ   x1_len+72(FP), DX
+	MOVQ   k+88(FP), CX
+	SHRQ   $3, CX
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+	TESTQ  CX, CX
+	JZ     mvstore
+	TESTQ  DX, DX
+	JZ     mvone
+
+mvtwo:
+	MV_STEP_X01(0)
+	MV_STEP_X01(16)
+	ADDQ $32, SI
+	ADDQ $32, R11
+	ADDQ $32, AX
+	ADDQ $32, BX
+	DECQ CX
+	JNZ  mvtwo
+	JMP  mvstore
+
+mvone:
+	MV_STEP_X0(0)
+	MV_STEP_X0(16)
+	ADDQ $32, SI
+	ADDQ $32, R11
+	ADDQ $32, AX
+	DECQ CX
+	JNZ  mvone
+
+mvstore:
+	VMOVUPS Y14, (DI)
+	VMOVUPS Y15, 32(DI)
 	VZEROUPPER
 	RET
 

@@ -100,7 +100,8 @@ func TestCaffenetShapesAVXMatchSSE2(t *testing.T) {
 }
 
 // TestFusedKernelsZeroAllocs pins that neither path allocates: the tiles
-// read A and B in place and write straight into dst.
+// read A and B in place and write straight into dst. A batch of
+// matrix-vector products below the parallel size allocates nothing either.
 func TestFusedKernelsZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	a := randMatrix(rng, 10, 40, 0.5)
@@ -108,10 +109,14 @@ func TestFusedKernelsZeroAllocs(t *testing.T) {
 	csr := ToCSR(a)
 	bias := make([]float32, 10)
 	dst := NewMatrix(10, 150)
+	xs := [][]float32{b.Row(0)[:40], b.Row(1)[:40], b.Row(2)[:40]}
+	ys := [][]float32{dst.Row(0)[:10], dst.Row(1)[:10], dst.Row(2)[:10]}
 	forEachPath(t, func(t *testing.T) {
 		for name, kernel := range map[string]func(){
-			"MatMulFusedInto": func() { MatMulFusedInto(dst, a, b, bias, true) },
-			"SpMMFusedInto":   func() { SpMMFusedInto(dst, csr, b, bias, true) },
+			"MatMulFusedInto":          func() { MatMulFusedInto(dst, a, b, bias, true) },
+			"SpMMFusedInto":            func() { SpMMFusedInto(dst, csr, b, bias, true) },
+			"MatVecFusedInto":          func() { MatVecFusedInto(ys[0], a, xs[0], bias, true) },
+			"ParallelMatVecsFusedInto": func() { ParallelMatVecsFusedInto(ys, a, xs, bias, true, 2) },
 		} {
 			if allocs := testing.AllocsPerRun(20, kernel); allocs != 0 {
 				t.Errorf("%s allocs = %v, want 0", name, allocs)

@@ -92,6 +92,43 @@ func BenchmarkMatVec(b *testing.B) {
 	}
 }
 
+// caffenetFCs are the weight shapes of Caffenet's fully-connected layers,
+// rows × K: 151, 67 and 16 MB of weights.
+var caffenetFCs = []struct {
+	name    string
+	rows, k int
+}{
+	{"fc1", 4096, 9216},
+	{"fc2", 4096, 4096},
+	{"fc3", 1000, 4096},
+}
+
+// BenchmarkMatVecs times ParallelMatVecsFusedInto on two workers at each
+// Caffenet FC shape and batches of 1, 2, 4 and 8 images: the engine's
+// version of the paper's Figure 5 for its FC layers. It reports ms per
+// image and the weight bytes per second of one pass over W per call.
+func BenchmarkMatVecs(b *testing.B) {
+	for _, s := range caffenetFCs {
+		w := benchMatrix(s.rows, s.k, 1, 15)
+		bias := benchMatrix(1, s.rows, 1, 16).Data
+		for _, batch := range []int{1, 2, 4, 8} {
+			xs, ys := make([][]float32, batch), make([][]float32, batch)
+			for i := range xs {
+				xs[i] = benchMatrix(1, s.k, 1, int64(17+i)).Data
+				ys[i] = make([]float32, s.rows)
+			}
+			b.Run(fmt.Sprintf("%s/B=%d", s.name, batch), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ParallelMatVecsFusedInto(ys, w, xs, bias, true, 2)
+				}
+				sec := b.Elapsed().Seconds() / float64(b.N)
+				b.ReportMetric(1e3*sec/float64(batch), "ms/image")
+				b.ReportMetric(4*float64(s.rows*s.k)/sec/1e9, "weight-GB/s")
+			})
+		}
+	}
+}
+
 // BenchmarkReLU measures the fused epilogue's ReLU clamp over a Caffenet
 // conv1 output (96×3025), about half of it negative as a GEMM leaves it.
 // The input is restored outside the timer, since the clamp works in place.

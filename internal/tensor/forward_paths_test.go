@@ -45,14 +45,19 @@ func pathNet(t *testing.T) *nn.Net {
 }
 
 // TestForwardPathsMatch runs the workspace-against-alloc and zero-alloc
-// checks of the nn package on the SSE2 loops and on the AVX tiles, and
-// then compares the two paths' outputs bit for bit.
+// checks of the nn package on the SSE2 loops and on the AVX tiles, checks
+// that a batch through the FC tail gives each image's ForwardAlloc
+// output, and then compares the two paths' outputs bit for bit.
 func TestForwardPathsMatch(t *testing.T) {
 	n := pathNet(t)
-	img := tensor.New(3, 19, 19)
-	for i := range img.Data {
-		img.Data[i] = float32(i%23)/23 - 0.45
+	imgs := make([]*tensor.Tensor, 3)
+	for b := range imgs {
+		imgs[b] = tensor.New(3, 19, 19)
+		for i := range imgs[b].Data {
+			imgs[b].Data[i] = float32((i+7*b)%23)/23 - 0.45
+		}
 	}
+	img := imgs[0]
 	var outs [][]float32
 	for _, avx := range []bool{false, true} {
 		if avx && !tensor.HasAVX {
@@ -69,6 +74,11 @@ func TestForwardPathsMatch(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(10, func() { n.Forward(img, ws) }); allocs != 0 {
 				t.Fatalf("warmed Net.Forward allocs/run = %v, want 0", allocs)
+			}
+			for b, out := range n.ForwardBatchPool(imgs, 2, nn.NewWorkspacePool(1)) {
+				if i := tensor.SameBits(out.Data, n.ForwardAlloc(imgs[b]).Data); i >= 0 {
+					t.Fatalf("batch image %d: out[%d] differs from ForwardAlloc", b, i)
+				}
 			}
 			outs = append(outs, want.Data)
 		})

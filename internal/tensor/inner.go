@@ -2,13 +2,14 @@ package tensor
 
 // The inner loops of the GEMM, CSR SpMM and fused-ReLU epilogue. On amd64
 // the axpy loops and the ReLU clamp run as four-lane SSE2 kernels
-// (inner_amd64.s), and on CPUs with AVX the GEMM and SpMM run through the
-// eight-lane tiles of avx_amd64.s instead. These Go loops are the
-// implementation on every other GOARCH and the reference every kernel is
-// tested against bit for bit (inner_test.go).
+// (inner_amd64.s), and on CPUs with AVX the GEMM, SpMM and MatVec run
+// through the eight-lane tiles of avx_amd64.s instead. These Go loops (and
+// MatVec's, in matmul.go) are the implementation on every other GOARCH and
+// the reference every kernel is tested against bit for bit (inner_test.go).
 
-// useAVX sends gemmRows and SpMMFusedInto through the AVX tiles. It is
-// hasAVX, read from CPUID at init; only tests switch it, to run both paths.
+// useAVX sends gemmRows, SpMMFusedInto and matVecRows through the AVX
+// tiles. It is hasAVX, read from CPUID at init; only tests switch it, to
+// run both paths.
 var useAVX = hasAVX
 
 // axpy4Go accumulates one streamed B row into four output row segments:

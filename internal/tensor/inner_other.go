@@ -3,7 +3,7 @@
 package tensor
 
 // hasAVX is false off amd64: useAVX never routes a product through the
-// tiles, and gemmRows and SpMMFusedInto run the Go loops below.
+// tiles, and gemmRows, SpMMFusedInto and matVecRows run the Go loops.
 const hasAVX = false
 
 func axpy4(bk, c0, c1, c2, c3 []float32, av0, av1, av2, av3 float32) {
@@ -20,4 +20,9 @@ func gemmTile4(c []float32, ldc int, a []float32, lda int, b []float32, ldb, k, 
 
 func spmmRow(c, b []float32, ldb int, val []float32, col []int32) {
 	spmmRowGo(c, b, ldb, val, col)
+}
+
+// matVecTile8 is only reached through useAVX, which is false here.
+func matVecTile8(s *[16]float32, w []float32, ldw int, x0, x1 []float32, k int) {
+	panic("tensor: matVecTile8 without AVX")
 }

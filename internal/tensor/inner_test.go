@@ -144,28 +144,91 @@ func TestInnerKernelsPanicOnShortOutput(t *testing.T) {
 	}
 }
 
-// TestMatVecFusedIntoMatchesOneRowLoop checks the four-row MatVec against
-// the one-row loop, bit for bit, at row counts that leave every remainder
-// after zero, one and two four-row passes.
+// TestMatVecFusedIntoMatchesOneRowLoop checks MatVecFusedInto and
+// ParallelMatVecsFusedInto against dotRow and matVecOut per image, bit for
+// bit, on both paths: batches of 1 to 5 images; 0 to 19 rows, which
+// leave every remainder after zero, one and two blocks of eight, and
+// 8k±1 rows; K from 0 to 19 and from 4096 to 4103, every K % 8 tail
+// after zero, one, two and 512 tile steps; every 4-byte misalignment of
+// W and of x; and inputs mixed with specialFloats, so NaN payloads meet
+// in both operands of the products and sums of the kernel body and of
+// the tail. Each output sits between guard cells and starts as a guard,
+// so a skipped or stray write fails too. The 65-row shapes are large
+// enough for the rows to be split across workers.
 func TestMatVecFusedIntoMatchesOneRowLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	for rows := 0; rows <= 9; rows++ {
-		for _, cols := range []int{0, 1, 7, 37} {
-			a := MatrixFromSlice(mixedFloats(rng, rows*cols), rows, cols)
-			x := mixedFloats(rng, cols)
-			for _, bias := range [][]float32{nil, mixedFloats(rng, rows)} {
-				for _, relu := range []bool{false, true} {
-					want := make([]float32, rows)
-					for i := range want {
-						want[i] = matVecOut(dotRow(a.Row(i), x), bias, i, relu)
-					}
-					got := make([]float32, rows)
-					MatVecFusedInto(got, a, x, bias, relu)
-					if i := sameBits(got, want); i >= 0 {
-						t.Fatalf("rows=%d cols=%d bias=%v relu=%v: y[%d] = %v (%#x), want %v (%#x)",
-							rows, cols, bias != nil, relu, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(18))
+		for k := 0; k < 20; k++ {
+			for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 23, 25} {
+				checkMatVecs(t, rng, rows, k)
+			}
+		}
+		for k := 4096; k < 4104; k++ {
+			for _, rows := range []int{7, 9, 63, 65} {
+				checkMatVecs(t, rng, rows, k)
+			}
+		}
+	})
+}
+
+// checkMatVecs runs one rows × k shape at every batch size and W offset.
+func checkMatVecs(t *testing.T, rng *rand.Rand, rows, k int) {
+	t.Helper()
+	const maxBatch = 5
+	fill := mixedFloats
+	if (rows+k)%3 == 2 {
+		fill = normalFloats // ordinary sums catch a column summed out of order
+	}
+	w := fill(rng, rows*k)
+	var bias []float32
+	if (rows+k)%2 == 0 {
+		bias = fill(rng, rows)
+	}
+	relu := (rows+k)%4 < 2
+	xs := make([][]float32, maxBatch)
+	want := make([][]float32, maxBatch)
+	for b := range xs {
+		xs[b] = fill(rng, k)
+		want[b] = make([]float32, rows)
+		for i := range want[b] {
+			want[b][i] = matVecOut(dotRow(w[i*k:(i+1)*k], xs[b]), bias, i, relu)
+		}
+	}
+	offs := innerOffsets
+	if k > 19 {
+		offs = innerOffsets[(rows+k)%4:][:1] // one offset per long shape
+	}
+	for batch := 1; batch <= maxBatch; batch++ {
+		for _, off := range offs {
+			wbuf := make([]float32, off+len(w))
+			copy(wbuf[off:], w)
+			a := MatrixFromSlice(wbuf[off:], rows, k)
+			x := make([][]float32, batch)
+			for b := range x {
+				x[b], _ = guarded(xs[b], (off+b+1)%4)
+			}
+			workers := 1 + (batch+off)%3
+			name := fmt.Sprintf("rows=%d k=%d batch=%d off=%d workers=%d bias=%v relu=%v", rows, k, batch, off, workers, bias != nil, relu)
+			run := func(entry string, call func(ys [][]float32)) {
+				ys, bufs := make([][]float32, batch), make([][]float32, batch)
+				for b := range ys {
+					ys[b], bufs[b] = guarded(make([]float32, rows), (off+b)%4)
+					for i := range ys[b] {
+						ys[b][i] = tileGuard
 					}
 				}
+				call(ys)
+				for b := range ys {
+					if i := sameBits(ys[b], want[b]); i >= 0 {
+						t.Fatalf("%s %s: image %d y[%d] = %v (%#x), want %v (%#x)", entry, name, b, i,
+							ys[b][i], math.Float32bits(ys[b][i]), want[b][i], math.Float32bits(want[b][i]))
+					}
+					checkGuards(t, entry+" "+name, rows, bufs[b], (off+b)%4, rows)
+				}
+			}
+			run("ParallelMatVecsFusedInto", func(ys [][]float32) { ParallelMatVecsFusedInto(ys, a, x, bias, relu, workers) })
+			if batch == 1 {
+				run("MatVecFusedInto", func(ys [][]float32) { MatVecFusedInto(ys[0], a, x[0], bias, relu) })
 			}
 		}
 	}
@@ -273,10 +336,18 @@ func TestSpMMTileMatchesGo(t *testing.T) {
 
 // TestTilesPanicOutOfRange pins the wrappers' checks: a stride, length or
 // column index that would reach past a slice panics before the assembly
-// runs.
+// runs, and so does a matrix-vector tile whose k is not a whole number of
+// eight-column steps.
 func TestTilesPanicOutOfRange(t *testing.T) {
 	buf := make([]float32, 64)
+	var s [16]float32
 	for name, call := range map[string]func(){
+		"matvec w short":    func() { matVecTile8(&s, buf[:7*8+7], 8, buf, nil, 8) },
+		"matvec k over ld":  func() { matVecTile8(&s, buf, 4, buf, nil, 8) },
+		"matvec x0 short":   func() { matVecTile8(&s, buf, 8, buf[:7], nil, 8) },
+		"matvec x1 short":   func() { matVecTile8(&s, buf, 8, buf, buf[:7], 8) },
+		"matvec k not ×8":   func() { matVecTile8(&s, buf, 8, buf, buf, 4) },
+		"matvec negative k": func() { matVecTile8(&s, buf, 8, buf, nil, -8) },
 		"gemm c short":      func() { gemmTile4(buf[:3*16+15], 16, buf, 16, buf, 16, 1, 16) },
 		"gemm a short":      func() { gemmTile4(buf, 16, buf[:3*16+4], 16, buf, 16, 5, 16) },
 		"gemm b short":      func() { gemmTile4(buf, 16, buf, 16, buf[:16*3+15], 16, 4, 16) },

@@ -358,8 +358,55 @@ func MatVecInto(y []float32, a *Matrix, x []float32) {
 }
 
 // MatVecFusedInto computes y = A × x + bias with an optional ReLU clamp,
-// into y. bias may be nil (zero). This is the fully-connected fast path.
+// into y. bias may be nil (zero). This is the fully-connected fast path:
+// with AVX, eight rows at a time run through the matrix-vector tile.
 func MatVecFusedInto(y []float32, a *Matrix, x []float32, bias []float32, relu bool) {
+	checkMatVec(y, a, x, bias)
+	ys, xs := [1][]float32{y}, [1][]float32{x}
+	matVecRows(ys[:], a, xs[:], bias, relu, 0, a.Rows)
+}
+
+// matVecParallelMin is the size of A, in elements (1 MiB), below which
+// ParallelMatVecsFusedInto runs serially: a smaller pass over A takes less
+// time than fanning out to the workers.
+const matVecParallelMin = 1 << 18
+
+// ParallelMatVecsFusedInto computes ys[b] = A × xs[b] + bias, with an
+// optional ReLU clamp, for every image b of a batch, each output
+// bit-identical to MatVecFusedInto(ys[b], a, xs[b], bias, relu). With AVX
+// the images share each pass over A, so A streams from memory once per
+// batch instead of once per image. Rows of A are split across workers
+// (≤ 0 uses GOMAXPROCS) in multiples of eight; an A smaller than
+// matVecParallelMin elements runs serially.
+func ParallelMatVecsFusedInto(ys [][]float32, a *Matrix, xs [][]float32, bias []float32, relu bool, workers int) {
+	if len(ys) != len(xs) {
+		panic(fmt.Sprintf("tensor: MatVecs %d outputs for %d inputs", len(ys), len(xs)))
+	}
+	for b := range xs {
+		checkMatVec(ys[b], a, xs[b], bias)
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, (a.Rows+7)/8)
+	if workers <= 1 || len(a.Data) < matVecParallelMin {
+		matVecRows(ys, a, xs, bias, relu, 0, a.Rows)
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := 8 * ((a.Rows + 8*workers - 1) / (8 * workers))
+	for r0 := chunk; r0 < a.Rows; r0 += chunk {
+		wg.Add(1)
+		go func(r0, r1 int) {
+			defer wg.Done()
+			matVecRows(ys, a, xs, bias, relu, r0, r1)
+		}(r0, min(r0+chunk, a.Rows))
+	}
+	matVecRows(ys, a, xs, bias, relu, 0, min(chunk, a.Rows))
+	wg.Wait()
+}
+
+func checkMatVec(y []float32, a *Matrix, x, bias []float32) {
 	if a.Cols != len(x) {
 		panic(fmt.Sprintf("tensor: MatVec %dx%d × %d", a.Rows, a.Cols, len(x)))
 	}
@@ -369,36 +416,102 @@ func MatVecFusedInto(y []float32, a *Matrix, x []float32, bias []float32, relu b
 	if bias != nil && len(bias) != a.Rows {
 		panic(fmt.Sprintf("tensor: MatVec bias len %d, want %d", len(bias), a.Rows))
 	}
-	// Four rows share each pass over x. Every row keeps its own single
-	// accumulator summed in ascending j, so each output is bit-identical
-	// to the one-row loop the remainder rows take.
-	i := 0
-	for ; i+4 <= a.Rows; i += 4 {
-		r0 := a.Row(i)
-		r1 := a.Row(i + 1)[:len(r0)]
-		r2 := a.Row(i + 2)[:len(r0)]
-		r3 := a.Row(i + 3)[:len(r0)]
-		x := x[:len(r0)]
+}
+
+// matVecRows computes rows [r0,r1) of every image's output. With AVX each
+// block of eight rows runs through matVecBlock8, and the rows past the
+// last block take dotRow. Otherwise each image runs MatVec's Go loop.
+func matVecRows(ys [][]float32, a *Matrix, xs [][]float32, bias []float32, relu bool, r0, r1 int) {
+	if !useAVX {
+		for b, x := range xs {
+			matVecRowsGo(ys[b], a, x, bias, relu, r0, r1)
+		}
+		return
+	}
+	i := r0
+	for ; i+8 <= r1; i += 8 {
+		matVecBlock8(ys, a, xs, bias, relu, i)
+	}
+	for ; i < r1; i++ {
+		for b, x := range xs {
+			ys[b][i] = matVecOut(dotRow(a.Row(i), x), bias, i, relu)
+		}
+	}
+}
+
+// matVecBlock8 computes rows [i,i+8) of every image's output. matVecTile8
+// sums the first K &^ 7 columns for the images in pairs, while the block's
+// rows are still in L2 from the pair before, and dotFrom continues each
+// lane's sum over the columns past them.
+func matVecBlock8(ys [][]float32, a *Matrix, xs [][]float32, bias []float32, relu bool, i int) {
+	k := a.Cols
+	k8 := k &^ 7
+	w := a.Data[i*k : (i+8)*k]
+	var s [16]float32
+	for b := 0; b < len(xs); b += 2 {
+		pair := xs[b:min(b+2, len(xs))]
+		var x1 []float32
+		if len(pair) == 2 {
+			x1 = pair[1]
+		}
+		matVecTile8(&s, w, k, pair[0], x1, k8)
+		for p, x := range pair {
+			for r := 0; r < 8; r++ {
+				sum := dotFrom(s[8*p+r], w[r*k+k8:(r+1)*k], x[k8:])
+				ys[b+p][i+r] = matVecOut(sum, bias, i+r, relu)
+			}
+		}
+	}
+}
+
+// matVecRowsGo is MatVec's Go loop over rows [r0,r1). Four rows share
+// each pass over x. Every row keeps its own single accumulator summed in
+// ascending j, so each output is bit-identical to the one-row loop the
+// remainder rows take.
+//
+// go:norace keeps this loop, dotFrom and matVecOut compiled under -race
+// as in a normal build. The race build's instrumented loads change which
+// operand of each MULSS and ADDSS the compiler puts first, and with it
+// the payload a NaN·NaN or NaN+NaN returns, so the AVX tile would be
+// tested against another program. The three read slices that no other
+// goroutine writes, and each worker writes only its own output rows.
+//
+//go:norace
+func matVecRowsGo(y []float32, a *Matrix, x []float32, bias []float32, relu bool, r0, r1 int) {
+	i := r0
+	for ; i+4 <= r1; i += 4 {
+		row0 := a.Row(i)
+		row1 := a.Row(i + 1)[:len(row0)]
+		row2 := a.Row(i + 2)[:len(row0)]
+		row3 := a.Row(i + 3)[:len(row0)]
+		x := x[:len(row0)]
 		var s0, s1, s2, s3 float32
 		for j, xv := range x {
-			s0 += r0[j] * xv
-			s1 += r1[j] * xv
-			s2 += r2[j] * xv
-			s3 += r3[j] * xv
+			s0 += row0[j] * xv
+			s1 += row1[j] * xv
+			s2 += row2[j] * xv
+			s3 += row3[j] * xv
 		}
 		y[i] = matVecOut(s0, bias, i, relu)
 		y[i+1] = matVecOut(s1, bias, i+1, relu)
 		y[i+2] = matVecOut(s2, bias, i+2, relu)
 		y[i+3] = matVecOut(s3, bias, i+3, relu)
 	}
-	for ; i < a.Rows; i++ {
+	for ; i < r1; i++ {
 		y[i] = matVecOut(dotRow(a.Row(i), x), bias, i, relu)
 	}
 }
 
 // dotRow is one row of MatVec: Σ row[j]·x[j] in ascending j.
-func dotRow(row, x []float32) float32 {
-	var s float32
+func dotRow(row, x []float32) float32 { return dotFrom(0, row, x) }
+
+// dotFrom continues the sum s over row[j]·x[j] in ascending j. s is a
+// local, so the compiler adds each product to it with the sum as the
+// first source, as in MatVec's loop. Summed into an array element instead,
+// it adds with the product first, and a NaN+NaN returns the other payload.
+//
+//go:norace
+func dotFrom(s float32, row, x []float32) float32 {
 	for j, v := range row {
 		s += v * x[j]
 	}
@@ -407,6 +520,8 @@ func dotRow(row, x []float32) float32 {
 
 // matVecOut is the MatVec epilogue for output i: add bias[i] (when bias
 // is non-nil), then clamp to max(0, ·) when relu is set.
+//
+//go:norace
 func matVecOut(s float32, bias []float32, i int, relu bool) float32 {
 	if bias != nil {
 		s += bias[i]
