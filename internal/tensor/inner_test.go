@@ -160,19 +160,20 @@ func TestMatVecFusedIntoMatchesOneRowLoop(t *testing.T) {
 		rng := rand.New(rand.NewSource(18))
 		for k := 0; k < 20; k++ {
 			for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 23, 25} {
-				checkMatVecs(t, rng, rows, k)
+				matchOneRowLoop(t, rng, rows, k)
 			}
 		}
 		for k := 4096; k < 4104; k++ {
 			for _, rows := range []int{7, 9, 63, 65} {
-				checkMatVecs(t, rng, rows, k)
+				matchOneRowLoop(t, rng, rows, k)
 			}
 		}
 	})
 }
 
-// checkMatVecs runs one rows × k shape at every batch size and W offset.
-func checkMatVecs(t *testing.T, rng *rand.Rand, rows, k int) {
+// matchOneRowLoop runs one rows × k shape at every batch size and W offset
+// and compares each image with dotRow and matVecOut.
+func matchOneRowLoop(t *testing.T, rng *rand.Rand, rows, k int) {
 	t.Helper()
 	const maxBatch = 5
 	fill := mixedFloats
