@@ -27,12 +27,11 @@ func (n *Net) ForwardBatch(images []*tensor.Tensor, workers int) []*tensor.Tenso
 // (small) output clones — the activations that must outlive workspace
 // reuse. A nil pool heap-allocates everything.
 //
-// Worker w runs images w, w+workers, …. A batch of two or more images
-// through a net with an FC tail (planTail) runs each image's layers up to
-// the tail that way, then each dense FC of the tail once over the whole
-// batch with its rows split across the workers, so the FC weights stream
-// from memory once per batch instead of once per image. The outputs are
-// bit-identical to Forward's either way.
+// Worker w runs images w, w+workers, …. With two or more images, each
+// dense FC runs once over the whole batch, its rows split across the
+// workers, so the FC weights stream from memory once per batch instead of
+// once per image; every other layer runs per image on the workers. The
+// outputs are bit-identical to Forward's either way.
 func (n *Net) ForwardBatchPool(images []*tensor.Tensor, workers int, pool *WorkspacePool) []*tensor.Tensor {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -48,8 +47,8 @@ func (n *Net) ForwardBatchPool(images []*tensor.Tensor, workers int, pool *Works
 			wss[w] = pool.Get()
 		}
 	}
-	if n.tail >= 0 && len(images) > 1 {
-		n.forwardBatchTail(images, out, wss)
+	if len(images) > 1 {
+		n.forwardBatchFC(images, out, wss)
 		if pool != nil {
 			for i := range out {
 				out[i] = out[i].Clone()
@@ -73,14 +72,14 @@ func (n *Net) ForwardBatchPool(images []*tensor.Tensor, workers int, pool *Works
 	return out
 }
 
-// forwardBatchTail sets out[i] to the output of images[i], running image
-// i's layers in workspace wss[i % len(wss)]. The layers outside the tail's
-// dense FCs run per image on the workers, through the loop Forward runs;
-// each dense FC runs once for all images (tensor.ParallelMatVecsFusedInto),
+// forwardBatchFC sets out[i] to the output of images[i], running image
+// i's layers in workspace wss[i % len(wss)]. The layers other than dense
+// FCs run per image on the workers, through the loop Forward runs; each
+// dense FC runs once for all images (tensor.ParallelMatVecsFusedInto),
 // while no worker touches its workspace. A workspace is reset once per
-// batch, by the pool, so every image's activations up to the tail stay
-// leased until the batch ends.
-func (n *Net) forwardBatchTail(images, out []*tensor.Tensor, wss []*Workspace) {
+// batch, by the pool, not per image as Forward resets it, so each image's
+// activations stay valid while its worker runs the other images.
+func (n *Net) forwardBatchFC(images, out []*tensor.Tensor, wss []*Workspace) {
 	for _, img := range images {
 		n.checkInput(img)
 	}
@@ -99,7 +98,7 @@ func (n *Net) forwardBatchTail(images, out []*tensor.Tensor, wss []*Workspace) {
 	ys := make([]*tensor.Tensor, len(out))
 	xd, yd := make([][]float32, len(out)), make([][]float32, len(out))
 	from := 0
-	for l := n.tail; l < len(n.layers); l++ {
+	for l := range n.layers {
 		f, ok := n.layers[l].(*FC)
 		if !ok || f.useCSR {
 			continue // CSR FCs run per image

@@ -37,9 +37,9 @@ func batchImages(n int, s Shape) []*tensor.Tensor {
 	return imgs
 }
 
-// tailNet has an FC tail of two dense FCs and a CSR FC, then Dropout and
-// Softmax. fc2's rows (13) and K (19) are not multiples of eight, so its
-// products take the kernel's row and column remainders.
+// tailNet ends in two dense FCs and a CSR FC, then Dropout and Softmax.
+// fc2's rows (13) and K (19) are not multiples of eight, so its products
+// take the kernel's row and column remainders.
 func tailNet(t *testing.T) *Net {
 	t.Helper()
 	n := NewNet("tail", Shape{C: 3, H: 9, W: 9})
@@ -75,8 +75,8 @@ func tailNet(t *testing.T) *Net {
 	return n
 }
 
-// noTailNet has an FC followed by an unfused ReLU, so it has no FC tail
-// and every batch takes the per-image path.
+// noTailNet puts Dropout between its FC and ReLU, so the ReLU is not
+// fused and runs per image after the batched FC.
 func noTailNet(t *testing.T) *Net {
 	t.Helper()
 	n := NewNet("notail", Shape{C: 2, H: 8, W: 8})
@@ -109,26 +109,11 @@ func bitDiff(got, want []float32) int {
 	return -1
 }
 
-func TestPlanTail(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		net  *Net
-		want int
-	}{
-		{"batchNet", batchNet(t), 4},
-		{"tailNet", tailNet(t), 4},
-		{"noTailNet", noTailNet(t), -1},
-	} {
-		if c.net.tail != c.want {
-			t.Errorf("%s: tail = %d, want %d", c.name, c.net.tail, c.want)
-		}
-	}
-}
-
 // TestForwardBatchMatchesSequential checks ForwardBatch and
-// ForwardBatchPool against Forward per image, bit for bit, on nets with
-// and without an FC tail, at batches of 1 to 5 and 17 images and 0 to 4
-// and 32 workers, without a pool and with one pool reused across batches.
+// ForwardBatchPool against Forward per image, bit for bit, on nets whose
+// FCs end the net or are followed by an unfused ReLU, at batches of 1 to
+// 5 and 17 images and 0 to 4 and 32 workers, without a pool and with one
+// pool reused across batches.
 func TestForwardBatchMatchesSequential(t *testing.T) {
 	for _, n := range []*Net{batchNet(t), tailNet(t), noTailNet(t)} {
 		imgs := batchImages(17, n.Input)

@@ -17,15 +17,11 @@ type Net struct {
 	// epilogue (ReLU after conv/FC) and skipped by Forward. Computed by
 	// planFusion during Init; nil means nothing is fused.
 	fused []bool
-	// tail is the index of the first layer of the FC tail that
-	// ForwardBatchPool runs once over a whole batch, or -1 when the net
-	// has none or Init has not run. Computed by planTail during Init.
-	tail int
 }
 
 // NewNet constructs an empty network with the given input shape.
 func NewNet(name string, input Shape) *Net {
-	return &Net{Name: name, Input: input, tail: -1}
+	return &Net{Name: name, Input: input}
 }
 
 // Add appends layers.
@@ -60,7 +56,6 @@ func (n *Net) Init(seed int64) error {
 		s = l.OutShape(s)
 	}
 	n.planFusion()
-	n.planTail()
 	return nil
 }
 
@@ -82,30 +77,6 @@ func (n *Net) planFusion() {
 			v.fuseReLU = true
 			n.fused[i+1] = true
 		}
-	}
-}
-
-// planTail finds the FC tail: the layers from the first FC on, when
-// every layer after it is an FC, a ReLU fused into one, a Dropout or a
-// Softmax. Those layers act on one small vector per image, so
-// ForwardBatchPool can run each FC of the tail once over the batch.
-func (n *Net) planTail() {
-	n.tail = -1
-	for i, l := range n.layers {
-		if _, ok := l.(*FC); !ok {
-			continue
-		}
-		for j := i + 1; j < len(n.layers); j++ {
-			switch n.layers[j].(type) {
-			case *FC, *Dropout, *Softmax:
-			default:
-				if !n.fused[j] { // a ReLU folded into the FC before it
-					return
-				}
-			}
-		}
-		n.tail = i
-		return
 	}
 }
 

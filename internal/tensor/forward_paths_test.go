@@ -46,7 +46,7 @@ func pathNet(t *testing.T) *nn.Net {
 
 // TestForwardPathsMatch runs the workspace-against-alloc and zero-alloc
 // checks of the nn package on the SSE2 loops and on the AVX tiles, checks
-// that a batch through the FC tail gives each image's ForwardAlloc
+// that a batch through the shared FC pass gives each image's ForwardAlloc
 // output, and then compares the two paths' outputs bit for bit.
 func TestForwardPathsMatch(t *testing.T) {
 	n := pathNet(t)

@@ -468,15 +468,6 @@ func matVecBlock8(ys [][]float32, a *Matrix, xs [][]float32, bias []float32, rel
 // each pass over x. Every row keeps its own single accumulator summed in
 // ascending j, so each output is bit-identical to the one-row loop the
 // remainder rows take.
-//
-// go:norace keeps this loop, dotFrom and matVecOut compiled under -race
-// as in a normal build. The race build's instrumented loads change which
-// operand of each MULSS and ADDSS the compiler puts first, and with it
-// the payload a NaN·NaN or NaN+NaN returns, so the AVX tile would be
-// tested against another program. The three read slices that no other
-// goroutine writes, and each worker writes only its own output rows.
-//
-//go:norace
 func matVecRowsGo(y []float32, a *Matrix, x []float32, bias []float32, relu bool, r0, r1 int) {
 	i := r0
 	for ; i+4 <= r1; i += 4 {
@@ -509,8 +500,6 @@ func dotRow(row, x []float32) float32 { return dotFrom(0, row, x) }
 // local, so the compiler adds each product to it with the sum as the
 // first source, as in MatVec's loop. Summed into an array element instead,
 // it adds with the product first, and a NaN+NaN returns the other payload.
-//
-//go:norace
 func dotFrom(s float32, row, x []float32) float32 {
 	for j, v := range row {
 		s += v * x[j]
@@ -520,8 +509,6 @@ func dotFrom(s float32, row, x []float32) float32 {
 
 // matVecOut is the MatVec epilogue for output i: add bias[i] (when bias
 // is non-nil), then clamp to max(0, ·) when relu is set.
-//
-//go:norace
 func matVecOut(s float32, bias []float32, i int, relu bool) float32 {
 	if bias != nil {
 		s += bias[i]

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Tier-1+ gate: everything a PR must pass before merge (see ROADMAP.md).
 # Runs formatting, vet, build, the full test suite under the race
-# detector, a one-iteration benchmark smoke pass, and the benchdiff
-# regression gate on the hot-path benchmarks.
+# detector, the tensor tests once more without it, a one-iteration
+# benchmark smoke pass, and the benchdiff regression gate on the
+# hot-path benchmarks.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,6 +29,13 @@ go build ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+# The race build compiles the Go matrix-vector loop with its ADDSS
+# operands the other way round, so under -race the FC tile's identity
+# test lets two NaNs match whatever their payloads. Without -race it
+# compares every bit.
+echo "== go test ./internal/tensor (NaN payloads, without -race)"
+go test ./internal/tensor
 
 # The degree label is the key of every engine cache entry; fuzz its
 # grammar (ParseDegree/Label round trip, ratios in [0,1]) on every run.
