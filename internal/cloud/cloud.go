@@ -159,7 +159,7 @@ func (c Config) HourlyPrice() float64 {
 	return s
 }
 
-// Label renders a stable multiset label, e.g. "2×p2.xlarge+1×p2.8xlarge".
+// Label renders a stable multiset label, e.g. "2xp2.xlarge+1xp2.8xlarge".
 func (c Config) Label() string {
 	if c.Empty() {
 		return "empty"

@@ -21,6 +21,12 @@ func ParseConfigAll(s string) (Config, error) {
 	return parseConfig(s, ByNameAll)
 }
 
+// MaxConfigSize bounds the instances one parsed configuration may hold,
+// in any one "NxTYPE" part and in total. It lies far above any fleet the
+// commands price, and it keeps a label such as "2000000000xp2.xlarge"
+// from building a 16 GB slice before anything rejects it.
+const MaxConfigSize = 1 << 16
+
 func parseConfig(s string, byName func(string) (*Instance, error)) (Config, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "empty" {
@@ -43,6 +49,9 @@ func parseConfig(s string, byName func(string) (*Instance, error)) (Config, erro
 		}
 		if count < 1 {
 			return Config{}, fmt.Errorf("cloud: non-positive count in %q", part)
+		}
+		if count > MaxConfigSize-len(insts) {
+			return Config{}, fmt.Errorf("cloud: %q takes the configuration past %d instances", part, MaxConfigSize)
 		}
 		inst, err := byName(name)
 		if err != nil {

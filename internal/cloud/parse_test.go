@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -103,4 +104,60 @@ func TestParseConfigMalformed(t *testing.T) {
 			t.Errorf("ParseConfig(%q) error = %v, want substring %q", c.in, err, c.want)
 		}
 	}
+}
+
+// TestParseConfigBoundsSize checks that a count, or a running total, past
+// MaxConfigSize is an error naming its part, returned before any instance
+// slice of that size is built.
+func TestParseConfigBoundsSize(t *testing.T) {
+	limit := strconv.Itoa(MaxConfigSize)
+	for _, c := range []struct{ in, part string }{
+		{"2000000000xp2.xlarge", "2000000000xp2.xlarge"},
+		{strconv.Itoa(MaxConfigSize+1) + "xp2.xlarge", strconv.Itoa(MaxConfigSize+1) + "xp2.xlarge"},
+		{"p2.xlarge+" + limit + "xg3.4xlarge", limit + "xg3.4xlarge"},
+		{limit + "xp2.xlarge,1xp2.8xlarge", "1xp2.8xlarge"},
+	} {
+		for _, parse := range []func(string) (Config, error){ParseConfig, ParseConfigAll} {
+			_, err := parse(c.in)
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(c.part)) || !strings.Contains(err.Error(), limit) {
+				t.Errorf("parse(%q) error = %v, want one naming %q and %s", c.in, err, c.part, limit)
+			}
+		}
+	}
+	c, err := ParseConfig(strconv.Itoa(MaxConfigSize-1) + "xp2.xlarge+p2.8xlarge")
+	if err != nil || c.Size() != MaxConfigSize {
+		t.Fatalf("a configuration of exactly MaxConfigSize: size %d, err %v", c.Size(), err)
+	}
+}
+
+// FuzzParseConfig checks the fleet grammar of both parsers: parsing never
+// panics, and the label of an accepted configuration parses back to the
+// same label.
+func FuzzParseConfig(f *testing.F) {
+	for _, s := range []string{
+		"", "empty", "p2.xlarge", "2xp2.xlarge+1xp2.8xlarge", "p2.xlarge, g3.4xlarge", "3xp2.xlarge",
+		"0xp2.xlarge", "-3xp2.xlarge", "1.5xp2.xlarge", "xp2.xlarge", "+,+", "2000000000xp2.xlarge",
+		"65536xp2.xlarge", "65535xp2.xlarge+p2.xlarge", "99999999999999999999xp2.xlarge", "2xnosuch.type",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for _, parse := range []func(string) (Config, error){ParseConfig, ParseConfigAll} {
+			c, err := parse(s)
+			if err != nil {
+				continue
+			}
+			if c.Size() < 1 || c.Size() > MaxConfigSize {
+				t.Fatalf("parse(%q) accepted %d instances", s, c.Size())
+			}
+			label := c.Label()
+			back, err := parse(label)
+			if err != nil {
+				t.Fatalf("parse(%q), the label of %q: %v", label, s, err)
+			}
+			if got := back.Label(); got != label {
+				t.Fatalf("label %q of %q parses back as %q", label, s, got)
+			}
+		}
+	})
 }

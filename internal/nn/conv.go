@@ -13,10 +13,12 @@ import (
 // register-blocked GEMM landed, the kernels tied at ≈25% sparsity at the
 // Caffenet-conv2 shape; with the SSE2 inner loops on amd64 they tied at
 // ≈40%, and with the AVX tiles they tie at ≈50% at conv1 and conv2 and
-// ≈55–60% at conv3, for random and for filter sparsity alike. It stays at
-// 0.25, so layers between it and the tie take the slower CSR kernel;
-// moving it changes which kernel a pruned model runs (ROADMAP item 2).
-// Measurement tables in docs/KERNELS.md.
+// ≈55–60% at conv3. Those ties hold for magnitude (random) sparsity only:
+// the CSR walk runs kept filters through the GEMM tile, so on filter
+// sparsity CSR already ties dense at 0–25% and is faster from 30%.
+// It stays at 0.25, so magnitude-pruned layers between it and the tie take
+// the slower CSR kernel; moving it changes which kernel a pruned model
+// runs (ROADMAP item 3). Measurement tables in docs/KERNELS.md.
 const sparseExecThreshold = 0.25
 
 // Conv is a 2-D convolution layer with optional groups (Caffenet's conv2,

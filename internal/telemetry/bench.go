@@ -150,9 +150,7 @@ func (m BenchMeta) String() string {
 }
 
 // BenchSeries is every run of one benchmark at one GOMAXPROCS across
-// -count repetitions — the sample-preserving form BenchSnapshot's
-// last-write-wins maps cannot express, and the input variance-aware
-// diffing needs.
+// -count repetitions: the samples variance-aware diffing needs.
 type BenchSeries struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped,
 	// unless the benchmark ran at several GOMAXPROCS values (go test -cpu
@@ -225,30 +223,4 @@ func (s *BenchSet) Series(name string) *BenchSeries {
 		return &s.Benchmarks[i]
 	}
 	return nil
-}
-
-// BenchSnapshot converts parsed benchmark results into the telemetry
-// Snapshot schema: each (benchmark, unit) pair becomes a gauge named
-// "bench.<Name>.<unit>" and each benchmark's iteration count a counter
-// "bench.<Name>.iterations". Writing these with Registry-compatible JSON
-// means perf trajectories across PRs diff with the same tooling as
-// `-metrics-out` artifacts.
-func BenchSnapshot(results []BenchResult) Snapshot {
-	s := Snapshot{
-		UnixNano: now(),
-		Counters: make(map[string]int64),
-		Gauges:   make(map[string]float64),
-	}
-	for _, r := range results {
-		s.Counters["bench."+r.Name+".iterations"] = r.Iterations
-		for unit, v := range r.Values {
-			s.Gauges["bench."+r.Name+"."+sanitizeUnit(unit)] = v
-		}
-	}
-	return s
-}
-
-// sanitizeUnit makes a bench unit safe as a metric-name segment.
-func sanitizeUnit(u string) string {
-	return strings.NewReplacer("/", "_per_", " ", "_").Replace(u)
 }

@@ -34,13 +34,51 @@ func bothPaths(t *testing.T, name string, dst *Matrix, kernel func(dst *Matrix))
 	}
 }
 
+// rowPatterns lay out CSR rows for the quad walk of spmmRowsAVX: F is a
+// full row (no zero), P a partial one (one exact zero) and E an empty
+// one. Each names a case the walk must get right: a quad with empty rows
+// between its members, a partial row inside or before a run, the 0–3
+// full rows a run leaves, and a layer with every filter pruned.
+var rowPatterns = []string{"FFFF", "FEFEFEF", "FFPFFFF", "PFFFF", "FFF", "FFFFF", "FFFFFFFFE", "EEEE"}
+
+// randomRowPattern returns 0–13 rows, half of them full.
+func randomRowPattern(rng *rand.Rand) string {
+	p := make([]byte, rng.Intn(14))
+	for i := range p {
+		p[i] = "FFPE"[rng.Intn(4)]
+	}
+	return string(p)
+}
+
+// patternRows returns a len(pattern)×k matrix of values laid out as
+// pattern says. At k = 1 a P row is empty.
+func patternRows(rng *rand.Rand, pattern string, k int, values func(int) []float32) *Matrix {
+	a := MatrixFromSlice(values(len(pattern)*k), len(pattern), k)
+	for i := range pattern {
+		row := a.Row(i)
+		for j, v := range row {
+			if v == 0 {
+				row[j] = 1
+			}
+		}
+		switch {
+		case pattern[i] == 'P' && k > 0:
+			row[rng.Intn(k)] = 0
+		case pattern[i] == 'E':
+			clear(row)
+		}
+	}
+	return a
+}
+
 // TestAVXPathMatchesSSE2 compares the AVX tile walks with the SSE2 loops,
 // bit for bit, through MatMulFusedInto and SpMMFusedInto: row counts
 // that leave every remainder after the row quads, widths on both sides of
 // a tile and of a panel, K from 0 and across two k-block edges, with and
 // without bias and ReLU, on normal inputs and on inputs mixed with
-// specialFloats and zeros. Each fill draws from its own seeded rng, so
-// every run sees the same inputs.
+// specialFloats and zeros. SpMMFusedInto also runs on rowPatterns and
+// random row patterns, in B and in the nonzeros alike. Each fill draws
+// from its own seeded rng, so every run sees the same inputs.
 func TestAVXPathMatchesSSE2(t *testing.T) {
 	if !hasAVX {
 		t.Skip("no AVX on this CPU")
@@ -52,12 +90,14 @@ func TestAVXPathMatchesSSE2(t *testing.T) {
 		{"normal", normalFloats},
 		{"special", mixedFloats},
 	}
+	widths := []int{1, 15, 17, 33, avxPanel - 1, avxPanel, avxPanel + 9, 2*avxPanel + 31}
+	depths := []int{0, 1, 9, 2*gemmBlockK + 3}
 	for fi, fill := range fills {
 		rng := rand.New(rand.NewSource(22 + int64(fi)))
 		values := func(n int) []float32 { return fill.draw(rng, n) }
 		for _, m := range []int{1, 4, 6, 11} {
-			for _, n := range []int{1, 15, 17, 33, avxPanel - 1, avxPanel, avxPanel + 9, 2*avxPanel + 31} {
-				for _, k := range []int{0, 1, 9, 2*gemmBlockK + 3} {
+			for _, n := range widths {
+				for _, k := range depths {
 					a := MatrixFromSlice(values(m*k), m, k)
 					for i := range a.Data {
 						if rng.Intn(3) == 0 {
@@ -72,6 +112,26 @@ func TestAVXPathMatchesSSE2(t *testing.T) {
 							name := fmt.Sprintf("%s %dx%d·%dx%d bias=%v relu=%v", fill.name, m, k, k, n, bias != nil, relu)
 							bothPaths(t, "MatMul "+name, dst, func(d *Matrix) { MatMulFusedInto(d, a, b, bias, relu) })
 							bothPaths(t, "SpMM "+name, dst, func(d *Matrix) { SpMMFusedInto(d, csr, b, bias, relu) })
+						}
+					}
+				}
+			}
+		}
+		patterns := append([]string(nil), rowPatterns...)
+		for range 8 {
+			patterns = append(patterns, randomRowPattern(rng))
+		}
+		for _, pattern := range patterns {
+			m := len(pattern)
+			for _, n := range widths {
+				for _, k := range depths {
+					csr := ToCSR(patternRows(rng, pattern, k, values))
+					b := MatrixFromSlice(values(k*n), k, n)
+					dst := MatrixFromSlice(values(m*n), m, n)
+					for _, bias := range [][]float32{nil, values(m)} {
+						for _, relu := range []bool{false, true} {
+							name := fmt.Sprintf("SpMM %s rows %q·%dx%d bias=%v relu=%v", fill.name, pattern, k, n, bias != nil, relu)
+							bothPaths(t, name, dst, func(d *Matrix) { SpMMFusedInto(d, csr, b, bias, relu) })
 						}
 					}
 				}
@@ -100,13 +160,16 @@ func TestCaffenetShapesAVXMatchSSE2(t *testing.T) {
 }
 
 // TestFusedKernelsZeroAllocs pins that neither path allocates: the tiles
-// read A and B in place and write straight into dst. A batch of
-// matrix-vector products below the parallel size allocates nothing either.
+// read A and B in place and write straight into dst, and the CSR quad
+// walk (on filter-pruned weights) stages its outputs on the stack. A
+// batch of matrix-vector products below the parallel size allocates
+// nothing either.
 func TestFusedKernelsZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	a := randMatrix(rng, 10, 40, 0.5)
 	b := randMatrix(rng, 40, 150, 0)
 	csr := ToCSR(a)
+	filters := ToCSR(filterPruned(randMatrix(rng, 10, 40, 0)))
 	bias := make([]float32, 10)
 	dst := NewMatrix(10, 150)
 	xs := [][]float32{b.Row(0)[:40], b.Row(1)[:40], b.Row(2)[:40]}
@@ -115,6 +178,7 @@ func TestFusedKernelsZeroAllocs(t *testing.T) {
 		for name, kernel := range map[string]func(){
 			"MatMulFusedInto":          func() { MatMulFusedInto(dst, a, b, bias, true) },
 			"SpMMFusedInto":            func() { SpMMFusedInto(dst, csr, b, bias, true) },
+			"SpMMFusedInto/filters":    func() { SpMMFusedInto(dst, filters, b, bias, true) },
 			"MatVecFusedInto":          func() { MatVecFusedInto(ys[0], a, xs[0], bias, true) },
 			"ParallelMatVecsFusedInto": func() { ParallelMatVecsFusedInto(ys, a, xs, bias, true, 2) },
 		} {

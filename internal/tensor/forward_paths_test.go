@@ -9,8 +9,9 @@ import (
 )
 
 // pathNet is a small network whose convs take the tiles: a dense conv
-// with a fused ReLU, a grouped conv, and a conv pruned past the CSR
-// threshold, with LRN, pooling and FC layers between them.
+// with a fused ReLU, a grouped conv filter-pruned past the CSR threshold
+// (each group keeps six full rows, a quad and two more), and a conv
+// pruned at random past it, with LRN, pooling and FC layers between them.
 func pathNet(t *testing.T) *nn.Net {
 	t.Helper()
 	n := nn.NewNet("paths", nn.Shape{C: 3, H: 19, W: 19})
@@ -18,7 +19,7 @@ func pathNet(t *testing.T) *nn.Net {
 		nn.NewConv("conv1", 12, 3, 3, 1, 1, 1, 1, 1),
 		nn.NewReLU("relu1"),
 		nn.NewLRN("norm1"),
-		nn.NewConv("conv2", 8, 3, 3, 1, 1, 1, 1, 2),
+		nn.NewConv("conv2", 16, 3, 3, 1, 1, 1, 1, 2),
 		nn.NewReLU("relu2"),
 		nn.NewMaxPool("pool2", 2, 2),
 		nn.NewConv("conv3", 9, 3, 3, 1, 1, 1, 1, 1),
@@ -30,7 +31,15 @@ func pathNet(t *testing.T) *nn.Net {
 	if err := n.Init(3); err != nil {
 		t.Fatal(err)
 	}
-	p, _ := n.PrunableByName("conv3")
+	p, _ := n.PrunableByName("conv2")
+	for _, r := range []int{1, 4, 9, 14} {
+		clear(p.Weights().Row(r))
+	}
+	p.Rebuild()
+	if !p.(*nn.Conv).UsesSparseKernel() {
+		t.Fatal("conv2 did not switch to CSR")
+	}
+	p, _ = n.PrunableByName("conv3")
 	w := p.Weights()
 	for i := range w.Data {
 		if i%2 == 0 {

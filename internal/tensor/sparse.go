@@ -8,7 +8,7 @@ import "fmt"
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int32   // len Rows+1
-	ColIdx     []int32   // len NNZ
+	ColIdx     []int32   // len NNZ, ascending within each row
 	Val        []float32 // len NNZ
 }
 
@@ -114,24 +114,70 @@ func SpMMFusedInto(dst *Matrix, s *CSR, b *Matrix, bias []float32, relu bool) {
 	}
 }
 
-// spmmRowsAVX accumulates every row of S × B through the 1×32 AVX tile,
-// one avxPanel-column panel of B at a time with every row streaming over
-// it. Each output is summed over the row's nonzeros in stored order, as
-// the axpy1 loop sums it.
+// spmmRowsAVX accumulates every row of S × B, one avxPanel-column panel
+// of B at a time with every row streaming over it. Each output is summed
+// over the row's nonzeros in stored order, as the axpy1 loop sums it.
+//
+// A row that holds all Cols nonzeros is a kept filter, as filter pruning
+// leaves one. Its columns are 0..Cols-1 in order, so four such rows with
+// only empty rows between them sit in Val as a dense 4×Cols block, and
+// spmmQuad runs them through the 4×16 GEMM tile, which shares each B load
+// among the four rows. A partial row ends the run, since its Val segment
+// lies between theirs. It, and the 0–3 full rows a run leaves, take the
+// 1×32 tile. Both tiles do the same per-lane VMULPS and VADDPS, so the
+// output does not depend on which one a row takes.
 func spmmRowsAVX(dst *Matrix, s *CSR, b *Matrix, bias []float32) {
 	n := b.Cols
 	for i := 0; i < s.Rows; i++ {
 		initRow(dst.Data[i*n:(i+1)*n], bias, i)
 	}
+	row := func(i, jj, w int) {
+		p0, p1 := s.RowPtr[i], s.RowPtr[i+1]
+		spmmRow(dst.Data[i*n+jj:i*n+jj+w], b.Data[jj:], n, s.Val[p0:p1], s.ColIdx[p0:p1])
+	}
 	for jj := 0; jj < n; jj += avxPanel {
 		w := min(avxPanel, n-jj)
+		var run [4]int // the full rows since the last quad or partial row
+		q := 0
 		for i := 0; i < s.Rows; i++ {
 			p0, p1 := s.RowPtr[i], s.RowPtr[i+1]
 			if p0 == p1 {
 				continue // an empty (pruned) row keeps its bias
 			}
-			spmmRow(dst.Data[i*n+jj:i*n+jj+w], b.Data[jj:], n, s.Val[p0:p1], s.ColIdx[p0:p1])
+			if int(p1-p0) == s.Cols {
+				run[q] = i
+				if q++; q == 4 {
+					spmmQuad(dst, s, b, run, jj, w)
+					q = 0
+				}
+				continue
+			}
+			for _, r := range run[:q] {
+				row(r, jj, w)
+			}
+			q = 0
+			row(i, jj, w)
 		}
+		for _, r := range run[:q] {
+			row(r, jj, w)
+		}
+	}
+}
+
+// spmmQuad adds the product of four full CSR rows, adjacent in Val, into
+// their outputs' panel at column jj, w wide, through the 4×16 tile: A is
+// Val from the first row on with lda = Cols, and B is read in place. The
+// four output rows are not one stride apart, so the tile runs on a copy
+// of their segments, avxPanel apart on the stack, that is copied back.
+func spmmQuad(dst *Matrix, s *CSR, b *Matrix, rows [4]int, jj, w int) {
+	n := b.Cols
+	var stage [4 * avxPanel]float32
+	for r, i := range rows {
+		copy(stage[r*avxPanel:r*avxPanel+w], dst.Data[i*n+jj:])
+	}
+	gemmTile4(stage[:], avxPanel, s.Val[s.RowPtr[rows[0]]:], s.Cols, b.Data[jj:], n, s.Cols, w)
+	for r, i := range rows {
+		copy(dst.Data[i*n+jj:i*n+jj+w], stage[r*avxPanel:])
 	}
 }
 

@@ -42,6 +42,11 @@ go test ./internal/tensor
 echo "== fuzz ParseDegree (10s)"
 go test -run - -fuzz '^FuzzParseDegree$' -fuzztime 10s ./internal/prune
 
+# Every fleet flag (-fleet, -pool, predict's fleets) parses through
+# ParseConfig or ParseConfigAll; fuzz both (no panic, Label round trip).
+echo "== fuzz ParseConfig (10s)"
+go test -run - -fuzz '^FuzzParseConfig$' -fuzztime 10s ./internal/cloud
+
 echo "== bench smoke (go test -run - -bench . -benchtime 1x)"
 mkdir -p out
 # One iteration of every benchmark: each must run and terminate at b.N = 1.
