@@ -719,13 +719,13 @@ func loadtestCmd(args []string) error {
 	fmt.Print(rep.String())
 
 	var asStatus *autoscale.Status
-	if as := st.Autoscaler(); as != nil {
+	if as := st.Scaler(); as != nil {
 		s := as.Status()
 		asStatus = &s
 		fmt.Printf("autoscale: %d ticks: %d scale-outs, %d scale-ins, %d degrades, %d restores\n",
 			s.Ticks, s.ScaleOuts, s.ScaleIns, s.Degrades, s.Restores)
 		fmt.Printf("fleet    : %d replicas final (allowed %d–%d), rung %d; last: %s\n",
-			s.Replicas, *minReplicas, *maxReplicas, s.Variant, s.LastDecision.Reason)
+			s.Replicas, *minReplicas, *maxReplicas, g.CurrentVariant(), s.LastDecision.Reason)
 		fmt.Printf("cost     : $%.4f realized (%.1f replica-seconds of %s; budget $%.2f/h)\n",
 			s.Cost, s.ReplicaSeconds, inst.Name, s.BudgetPerHour)
 	} else {
@@ -788,7 +788,7 @@ func serveCmd(ctx context.Context, args []string) error {
 	minReplicas := fs.Int("min-replicas", 1, "autoscale floor (with -autoscale)")
 	maxReplicas := fs.Int("max-replicas", 8, "autoscale ceiling (with -autoscale)")
 	instance := fs.String("instance", "p2.xlarge", "instance type pricing each replica (with -autoscale)")
-	tenantsSpec := fs.String("tenants", "", "tenant spec file: mount the multi-tenant gateway instead (per-tenant /gateway/status rows; -autoscale adds the joint scaler)")
+	tenantsSpec := fs.String("tenants", "", "tenant spec file: mount the multi-tenant gateway instead (per-tenant /gateway/status rows; -autoscale adds the scaler)")
 	fs.Parse(args)
 
 	if *demo {
@@ -835,7 +835,7 @@ func serveCmd(ctx context.Context, args []string) error {
 		mux := http.NewServeMux()
 		mux.Handle("/infer", serving.Handler(g))
 		mux.Handle("/gateway/status", serving.Handler(g))
-		if as := st.Autoscaler(); as != nil {
+		if as := st.Scaler(); as != nil {
 			mux.Handle("/autoscale/status", autoscale.Handler(as))
 			fmt.Fprintf(os.Stderr, "serve: autoscaler up (%d–%d replicas, $%.2f/h budget, %s ticks)\n",
 				*minReplicas, *maxReplicas, *budget, as.Interval())

@@ -76,7 +76,7 @@ func tenantLoadtest(o tenantLoadtestOpts) error {
 		Duration: o.duration,
 		Seed:     o.seed,
 		Cooldown: o.cooldown,
-		Scaler:   st.TenantScaler(),
+		Scaler:   st.Scaler(),
 	})
 	st.Close()
 	if runErr != nil {
@@ -157,13 +157,13 @@ func mountTenantGateway(model, specPath, instance string, replicas int, autoscal
 	}
 	st.Start()
 	m := st.TenantMux()
-	h := tenant.Handler(m, st.TenantScaler())
+	h := tenant.Handler(m, st.Scaler())
 	hmux := http.NewServeMux()
 	hmux.Handle("/infer", h)
 	hmux.Handle("/gateway/status", h)
 	hmux.Handle("/", fallback)
-	if sc := st.TenantScaler(); sc != nil {
-		fmt.Fprintf(os.Stderr, "serve: joint scaler up (%d–%d replicas, $%.2f/h budget, %s ticks)\n",
+	if sc := st.Scaler(); sc != nil {
+		fmt.Fprintf(os.Stderr, "serve: scaler up (%d–%d replicas, $%.2f/h budget, %s ticks)\n",
 			minReplicas, maxReplicas, budget, sc.Interval())
 	}
 	fmt.Fprintf(os.Stderr, "serve: multi-tenant gateway up (%d tenants sharing %d replicas; per-tenant rows at /gateway/status)\n",

@@ -40,7 +40,8 @@ func replay(budget float64, maxReplicas int, trace *workload.Trace) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := st.Autoscaler().Status()
+	s := st.Scaler().Status()
+	gs := st.Gateway().Stats()
 	fmt.Printf("budget $%.2f/h (%s at $%.2f/h per replica):\n",
 		budget, st.Instance().Name, st.Instance().PricePerHour)
 	fmt.Printf("  served %d/%d, p99 %.1f ms, mean accuracy %.1f%%\n",
@@ -48,7 +49,7 @@ func replay(budget float64, maxReplicas int, trace *workload.Trace) {
 	fmt.Printf("  decisions: %d scale-outs, %d degrades, %d restores, %d scale-ins\n",
 		s.ScaleOuts, s.Degrades, s.Restores, s.ScaleIns)
 	fmt.Printf("  final fleet: %d replicas at ladder rung %d (%s)\n",
-		s.Replicas, s.Variant, s.Profiles[s.Variant].Degree)
+		s.Replicas, gs.Variant, gs.Degree)
 	fmt.Printf("  realized cost $%.4f over %.1f replica-seconds\n\n",
 		s.Cost, s.ReplicaSeconds)
 }

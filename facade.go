@@ -18,8 +18,9 @@ import (
 
 // Stack is the facade over the library's layers, all sharing one memoizing
 // prediction engine: the offline System (characterization) and Planner
-// (joint-space search) are always present; the online Gateway and
-// Autoscaler exist when requested via WithGateway / WithAutoscale.
+// (joint-space search) are always present; the online fleet (a Gateway, or
+// a TenantMux with WithTenants) and its Scaler exist when requested via
+// WithGateway / WithTenants / WithAutoscale.
 //
 // Open is the documented entry point; NewSystem and NewPlanner remain as
 // thin wrappers for callers that only want the offline layers.
@@ -28,9 +29,8 @@ type Stack struct {
 	planner *Planner
 	inst    *cloud.Instance
 	gw      *serving.Gateway
-	scaler  *autoscale.Autoscaler
 	tmux    *tenant.Mux
-	tscaler *tenant.Scaler
+	scaler  *autoscale.Scaler
 
 	// Transfer prediction is fitted lazily on first use; the calibration
 	// set comes from WithCalibrationSet (default: the full catalog).
@@ -59,7 +59,6 @@ type options struct {
 	minReplicas int
 	maxReplicas int
 	interval    time.Duration
-	policy      *autoscale.Policy
 
 	registry *telemetry.Registry
 	tracer   *telemetry.Tracer
@@ -127,19 +126,13 @@ func WithAutoscale(budgetPerHour float64, min, max int) Option {
 // WithAutoscaleInterval sets the autoscaler's control tick (default 250ms).
 func WithAutoscaleInterval(d time.Duration) Option { return func(o *options) { o.interval = d } }
 
-// WithPolicy overrides the derived autoscale policy wholesale (Limits and
-// Profiles included); the other autoscale options are ignored when set.
-func WithPolicy(p autoscale.Policy) Option {
-	return func(o *options) { o.gateway, o.autoscale = true, true; o.policy = &p }
-}
-
 // WithTenants hosts N tenants — each with its own pruning ladder, SLO,
 // admission quota, and fair-share weight — on one shared replica fleet
 // instead of the single-model gateway. Supersedes WithGateway: the stack
 // exposes a tenant.Mux (TenantMux) rather than a serving.Gateway. With
-// WithAutoscale, a joint tenant.Scaler (TenantScaler) drives the shared
-// replica count and every tenant's ladder rung — which tenant degrades
-// first is the one with the largest accuracy-per-dollar slack.
+// WithAutoscale, the Scaler drives the shared replica count and every
+// tenant's ladder rung — which tenant degrades first is the one with the
+// largest accuracy-per-dollar slack.
 func WithTenants(specs []tenant.Spec) Option {
 	return func(o *options) { o.tenants = specs }
 }
@@ -195,7 +188,7 @@ func Open(model string, opts ...Option) (*Stack, error) {
 		return st, nil
 	}
 
-	// The ladder and the autoscaler profiles are both derived from the
+	// The ladder and the scaler's profiles are both derived from the
 	// system's shared predictor, so the accuracy the gateway advertises and
 	// the accuracy the planner optimizes come from the same curves.
 	ratios := o.ratios
@@ -211,26 +204,9 @@ func Open(model string, opts ...Option) (*Stack, error) {
 		return nil, err
 	}
 
-	replicas := o.replicas
-	if o.autoscale {
-		if o.policy == nil {
-			if o.minReplicas <= 0 {
-				o.minReplicas = 1
-			}
-			if o.maxReplicas < o.minReplicas {
-				o.maxReplicas = o.minReplicas
-			}
-		}
-		if replicas <= 0 {
-			replicas = o.minReplicas
-			if o.policy != nil && o.policy.Limits.MinReplicas > 0 {
-				replicas = o.policy.Limits.MinReplicas
-			}
-		}
-	}
 	gw, err := serving.New(serving.Config{
 		Ladder:          ladder,
-		Replicas:        replicas,
+		Replicas:        o.initialReplicas(),
 		QueueCap:        o.queueCap,
 		MaxBatch:        o.maxBatch,
 		BatchTimeout:    o.batchTimeout,
@@ -246,40 +222,66 @@ func Open(model string, opts ...Option) (*Stack, error) {
 		return nil, err
 	}
 	st.gw = gw
-	if !o.autoscale {
-		return st, nil
-	}
-
-	var pol autoscale.Policy
-	if o.policy != nil {
-		pol = *o.policy
-	} else {
-		profiles, err := autoscale.BuildProfiles(context.Background(), sys.engine, degrees, inst, gw.Config().MaxBatch)
-		if err != nil {
+	if o.autoscale {
+		if err := st.openScaler(gw, gw.Config().MaxBatch, &o); err != nil {
 			return nil, err
 		}
-		pol = autoscale.Policy{
-			SLOSeconds: gw.Config().SLO.Seconds(),
+	}
+	return st, nil
+}
+
+// initialReplicas returns the fleet's starting size: WithReplicas, or
+// under WithAutoscale the replica floor when that is unset. Under
+// WithAutoscale it first defaults the floor to 1 and raises the ceiling
+// to at least the floor, the limits openScaler reads.
+func (o *options) initialReplicas() int {
+	if !o.autoscale {
+		return o.replicas
+	}
+	if o.minReplicas <= 0 {
+		o.minReplicas = 1
+	}
+	if o.maxReplicas < o.minReplicas {
+		o.maxReplicas = o.minReplicas
+	}
+	if o.replicas <= 0 {
+		return o.minReplicas
+	}
+	return o.replicas
+}
+
+// openScaler binds the stack's autoscale.Scaler to fleet. Each tenant's
+// rung profiles price its ladder's degrees through the shared predictor on
+// the stack's instance type, so the accuracy the fleet serves and the
+// accuracy the planner optimizes come from the same curves.
+func (st *Stack) openScaler(fleet autoscale.Fleet, maxBatch int, o *options) error {
+	profiles := make(map[string][]autoscale.Profile)
+	for _, name := range fleet.Tenants() {
+		var degrees []prune.Degree
+		for _, v := range fleet.Ladder(name) {
+			degrees = append(degrees, v.Degree)
+		}
+		var err error
+		if profiles[name], err = autoscale.BuildProfiles(context.Background(), st.sys.engine, degrees, st.inst, maxBatch); err != nil {
+			return err
+		}
+	}
+	var err error
+	st.scaler, err = autoscale.New(fleet, autoscale.Config{
+		Policy: autoscale.Policy{
 			Limits: autoscale.Limits{
 				MinReplicas:         o.minReplicas,
 				MaxReplicas:         o.maxReplicas,
-				PricePerReplicaHour: inst.PricePerHour,
+				PricePerReplicaHour: st.inst.PricePerHour,
 				BudgetPerHour:       o.budget,
 			},
-			Profiles: profiles,
-		}
-	}
-	scaler, err := autoscale.New(gw, autoscale.Config{
-		Policy:   pol,
+		},
+		Profiles: profiles,
 		Interval: o.interval,
 		Registry: o.registry,
 		Tracer:   o.tracer,
 	})
-	if err != nil {
-		return nil, err
-	}
-	st.scaler = scaler
-	return st, nil
+	return err
 }
 
 // LadderDegrees maps prune-ratio rungs to the uniform conv1+conv2 degrees
@@ -300,7 +302,7 @@ func LadderDegrees(ratios []float64) ([]prune.Degree, error) {
 }
 
 // openTenants builds the multi-tenant serving stack: one mux hosting every
-// spec's private ladder, and — under WithAutoscale — the joint scaler with
+// spec's private ladder, and — under WithAutoscale — the scaler with
 // per-tenant profiles derived from the shared predictor.
 func openTenants(st *Stack, o *options) (*Stack, error) {
 	buildLadder := func(ratios []float64) ([]serving.Variant, error) {
@@ -310,22 +312,10 @@ func openTenants(st *Stack, o *options) (*Stack, error) {
 		}
 		return serving.BuildLadder(context.Background(), serving.TinyNet, degrees, prune.L1Filter, st.sys.engine)
 	}
-	replicas := o.replicas
-	if o.autoscale {
-		if o.minReplicas <= 0 {
-			o.minReplicas = 1
-		}
-		if o.maxReplicas < o.minReplicas {
-			o.maxReplicas = o.minReplicas
-		}
-		if replicas <= 0 {
-			replicas = o.minReplicas
-		}
-	}
 	m, err := tenant.New(tenant.Config{
 		Specs:        o.tenants,
 		BuildLadder:  buildLadder,
-		Replicas:     replicas,
+		Replicas:     o.initialReplicas(),
 		MaxBatch:     o.maxBatch,
 		BatchTimeout: o.batchTimeout,
 		WarmupDelay:  o.warmup,
@@ -337,40 +327,11 @@ func openTenants(st *Stack, o *options) (*Stack, error) {
 		return nil, err
 	}
 	st.tmux = m
-	if !o.autoscale {
-		return st, nil
-	}
-
-	profiles := make(map[string][]autoscale.Profile, m.Registry().Len())
-	for _, spec := range m.Registry().Specs() {
-		degrees, err := LadderDegrees(spec.Ladder)
-		if err != nil {
+	if o.autoscale {
+		if err := st.openScaler(m, m.Config().MaxBatch, o); err != nil {
 			return nil, err
 		}
-		prof, err := autoscale.BuildProfiles(context.Background(), st.sys.engine, degrees, st.inst, m.Config().MaxBatch)
-		if err != nil {
-			return nil, err
-		}
-		profiles[spec.Name] = prof
 	}
-	sc, err := tenant.NewScaler(m, tenant.ScalerConfig{
-		Policy: autoscale.JointPolicy{
-			Limits: autoscale.Limits{
-				MinReplicas:         o.minReplicas,
-				MaxReplicas:         o.maxReplicas,
-				PricePerReplicaHour: st.inst.PricePerHour,
-				BudgetPerHour:       o.budget,
-			},
-		},
-		Profiles: profiles,
-		Interval: o.interval,
-		Registry: o.registry,
-		Tracer:   o.tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	st.tscaler = sc
 	return st, nil
 }
 
@@ -383,17 +344,13 @@ func (st *Stack) Planner() *Planner { return st.planner }
 // Gateway returns the online serving view (nil unless WithGateway).
 func (st *Stack) Gateway() *serving.Gateway { return st.gw }
 
-// Autoscaler returns the cost-accuracy control plane (nil unless
-// WithAutoscale).
-func (st *Stack) Autoscaler() *autoscale.Autoscaler { return st.scaler }
-
 // TenantMux returns the multi-tenant serving front-end (nil unless
 // WithTenants).
 func (st *Stack) TenantMux() *tenant.Mux { return st.tmux }
 
-// TenantScaler returns the joint multi-tenant control plane (nil unless
-// both WithTenants and WithAutoscale).
-func (st *Stack) TenantScaler() *tenant.Scaler { return st.tscaler }
+// Scaler returns the cost-accuracy control plane over the stack's fleet,
+// gateway or tenant mux (nil unless WithAutoscale).
+func (st *Stack) Scaler() *autoscale.Scaler { return st.scaler }
 
 // Predictor returns the single memoizing prediction engine every view of
 // this stack shares.
@@ -429,34 +386,28 @@ func (st *Stack) Transfer(ctx context.Context) (*engine.TransferPredictor, error
 // Instance returns the cloud instance type pricing each replica.
 func (st *Stack) Instance() *cloud.Instance { return st.inst }
 
-// Start brings up the online components (gateway, then autoscaler). A
-// stack without a gateway starts nothing.
+// Start brings up the online components (the fleet, then its scaler). A
+// stack without a fleet starts nothing.
 func (st *Stack) Start() {
 	if st.gw != nil {
 		st.gw.Start()
 	}
-	if st.scaler != nil {
-		st.scaler.Start()
-	}
 	if st.tmux != nil {
 		st.tmux.Start()
 	}
-	if st.tscaler != nil {
-		st.tscaler.Start()
+	if st.scaler != nil {
+		st.scaler.Start()
 	}
 }
 
-// Close stops the online components in reverse order (autoscaler, then
-// gateway, draining in-flight requests). Idempotent.
+// Close stops the online components in reverse order (the scaler, then
+// the fleet, draining in-flight requests). Idempotent.
 func (st *Stack) Close() {
-	if st.tscaler != nil {
-		st.tscaler.Stop()
+	if st.scaler != nil {
+		st.scaler.Stop()
 	}
 	if st.tmux != nil {
 		st.tmux.Stop()
-	}
-	if st.scaler != nil {
-		st.scaler.Stop()
 	}
 	if st.gw != nil {
 		st.gw.Stop()

@@ -20,7 +20,7 @@ func TestOpenOfflineOnly(t *testing.T) {
 	if st.System() == nil || st.Planner() == nil || st.Predictor() == nil {
 		t.Fatal("offline views must always exist")
 	}
-	if st.Gateway() != nil || st.Autoscaler() != nil {
+	if st.Gateway() != nil || st.Scaler() != nil {
 		t.Fatal("online views must not exist without options")
 	}
 	if st.Planner().System() != st.System() {
@@ -52,7 +52,7 @@ func TestOpenGatewayServes(t *testing.T) {
 	if g == nil {
 		t.Fatal("WithLadder must imply a gateway")
 	}
-	if st.Autoscaler() != nil {
+	if st.Scaler() != nil {
 		t.Fatal("no autoscaler was requested")
 	}
 	if n := len(g.Config().Ladder); n != 2 {
@@ -78,7 +78,7 @@ func TestOpenAutoscaleStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as := st.Autoscaler()
+	as := st.Scaler()
 	if as == nil {
 		t.Fatal("WithAutoscale must build an autoscaler")
 	}
@@ -89,14 +89,21 @@ func TestOpenAutoscaleStack(t *testing.T) {
 	if pol.Limits.PricePerReplicaHour != st.Instance().PricePerHour {
 		t.Fatalf("replica price %v != instance price %v", pol.Limits.PricePerReplicaHour, st.Instance().PricePerHour)
 	}
-	if pol.SLOSeconds != 0.08 {
-		t.Fatalf("SLOSeconds = %v, want 0.08", pol.SLOSeconds)
+	// One tick before Start (a quiet hold) shows what the scaler holds
+	// the gateway's one tenant to.
+	tenants := as.Tick().Signal.Tenants
+	if len(tenants) != 1 || tenants[0].Name != serving.DefaultTenant {
+		t.Fatalf("tenants = %+v, want the gateway's one", tenants)
 	}
-	if len(pol.Profiles) != 3 {
-		t.Fatalf("%d profiles for a 3-rung ladder", len(pol.Profiles))
+	if slo := tenants[0].SLOSeconds; slo != 0.08 {
+		t.Fatalf("SLOSeconds = %v, want 0.08", slo)
 	}
-	if pol.Profiles[0].Speed != 1 || pol.Profiles[2].Speed < pol.Profiles[1].Speed {
-		t.Fatalf("profile speeds not anchored/monotone: %+v", pol.Profiles)
+	prof := tenants[0].Profiles
+	if len(prof) != 3 {
+		t.Fatalf("%d profiles for a 3-rung ladder", len(prof))
+	}
+	if prof[0].Speed != 1 || prof[2].Speed < prof[1].Speed {
+		t.Fatalf("profile speeds not anchored/monotone: %+v", prof)
 	}
 	// The gateway starts at the floor and is externally controlled.
 	if got := st.Gateway().ReplicaCount(); got != 2 {
@@ -114,8 +121,8 @@ func TestOpenAutoscaleStack(t *testing.T) {
 }
 
 // TestOpenTenantsStack: WithTenants builds the multi-tenant mux (each
-// tenant with its own ladder) and, with WithAutoscale, the joint scaler
-// whose profiles come from the shared predictor.
+// tenant with its own ladder) and, with WithAutoscale, the scaler whose
+// profiles come from the shared predictor.
 func TestOpenTenantsStack(t *testing.T) {
 	specs := []tenant.Spec{
 		{Name: "a", Ladder: []float64{0, 0.5}, SLOMS: 500, QPS: 50},
@@ -132,9 +139,9 @@ func TestOpenTenantsStack(t *testing.T) {
 	if st.Gateway() != nil {
 		t.Fatal("WithTenants supersedes the single-model gateway")
 	}
-	sc := st.TenantScaler()
+	sc := st.Scaler()
 	if sc == nil {
-		t.Fatal("WithTenants + WithAutoscale must build a joint scaler")
+		t.Fatal("WithTenants + WithAutoscale must build a scaler")
 	}
 	if lim := sc.Policy().Limits; lim.MinReplicas != 1 || lim.MaxReplicas != 4 ||
 		lim.BudgetPerHour != 6 || lim.PricePerReplicaHour != st.Instance().PricePerHour {

@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// jointLadder is a two-tenant fixture: tenant "cheap" spends accuracy at a
-// low price (small accuracy drop, big speedup), tenant "precious" pays
-// dearly for the same capacity.
+// jointTenant builds one tenant's signal for the multi-tenant cases. Of
+// the two fixture ladders below, "cheap" spends accuracy at a low price
+// (small accuracy drop, big speedup) and "precious" pays dearly for the
+// same capacity.
 func jointTenant(name string, rate, p99, slo float64, variant int, profiles []Profile) TenantSignal {
 	return TenantSignal{
 		Name:        name,
@@ -34,8 +35,8 @@ var (
 	}
 )
 
-func jointPolicy() JointPolicy {
-	return JointPolicy{
+func jointPolicy() Policy {
+	return Policy{
 		Limits: Limits{MinReplicas: 1, MaxReplicas: 4, PricePerReplicaHour: 1, BudgetPerHour: 4},
 	}
 }
@@ -43,7 +44,7 @@ func jointPolicy() JointPolicy {
 func TestJointDecideBudgetClampFirst(t *testing.T) {
 	p := jointPolicy()
 	p.Limits.BudgetPerHour = 2 // fleet of 3 costs 3 $/hr: over budget
-	s := JointSignal{
+	s := Signal{
 		Tenants: []TenantSignal{
 			jointTenant("a", 50, 0.5, 0.2, 0, cheapLadder), // violated, irrelevant
 		},
@@ -57,7 +58,7 @@ func TestJointDecideBudgetClampFirst(t *testing.T) {
 
 func TestJointDecideScaleOutBeforeDegrade(t *testing.T) {
 	p := jointPolicy()
-	s := JointSignal{
+	s := Signal{
 		Tenants: []TenantSignal{
 			jointTenant("a", 50, 0.5, 0.2, 0, cheapLadder),
 			jointTenant("b", 10, 0.05, 0.2, 0, preciousLadder),
@@ -82,7 +83,7 @@ func TestJointDecideScaleOutBeforeDegrade(t *testing.T) {
 func TestJointDecideDegradesLargestSlackFirst(t *testing.T) {
 	p := jointPolicy()
 	p.Limits.MaxReplicas = 2 // replica axis exhausted
-	s := JointSignal{
+	s := Signal{
 		Tenants: []TenantSignal{
 			// "precious" is the violator, but "cheap" has the larger
 			// accuracy-per-dollar slack — it degrades instead.
@@ -118,7 +119,7 @@ func TestJointDecidePerTenantBudgetEnforcement(t *testing.T) {
 	b := jointTenant("b", 10, 0.05, 0.2, 0, preciousLadder)
 	b.CostPerHour = 1
 	b.MaxCostPerHour = 2
-	s := JointSignal{
+	s := Signal{
 		Tenants:  []TenantSignal{b, a},
 		Replicas: 2, CapacityPerReplica: 100, SinceScale: 5,
 	}
@@ -136,7 +137,7 @@ func TestJointDecidePerTenantBudgetEnforcement(t *testing.T) {
 
 func TestJointDecideRestoresLargestDeficitFirst(t *testing.T) {
 	p := jointPolicy()
-	s := JointSignal{
+	s := Signal{
 		Tenants: []TenantSignal{
 			jointTenant("cheap", 5, 0.05, 0.2, 1, cheapLadder),       // deficit 0.01
 			jointTenant("precious", 5, 0.05, 0.2, 1, preciousLadder), // deficit 0.15
@@ -170,7 +171,7 @@ func TestJointDecideRestoresLargestDeficitFirst(t *testing.T) {
 
 func TestJointDecideStreakBuilds(t *testing.T) {
 	p := jointPolicy()
-	s := JointSignal{
+	s := Signal{
 		Tenants:  []TenantSignal{jointTenant("a", 5, 0.05, 0.2, 0, cheapLadder)},
 		Replicas: 1, CapacityPerReplica: 100, Healthy: 0, SinceScale: 5,
 	}
@@ -182,7 +183,7 @@ func TestJointDecideStreakBuilds(t *testing.T) {
 
 func TestJointDegradeOrder(t *testing.T) {
 	p := jointPolicy()
-	s := JointSignal{
+	s := Signal{
 		Tenants: []TenantSignal{
 			jointTenant("precious", 30, 0.1, 0.2, 0, preciousLadder),
 			jointTenant("cheap", 30, 0.1, 0.2, 0, cheapLadder),
@@ -196,8 +197,8 @@ func TestJointDegradeOrder(t *testing.T) {
 	}
 }
 
-// randomJointSignal draws an arbitrary but reproducible signal from rng.
-func randomJointSignal(rng *rand.Rand) JointSignal {
+// randomSignal draws an arbitrary but reproducible signal from rng.
+func randomSignal(rng *rand.Rand) Signal {
 	ladders := [][]Profile{cheapLadder, preciousLadder, {
 		{Degree: "0", Accuracy: 0.9, Speed: 1},
 		{Degree: "0.5", Accuracy: 0.86, Speed: 1.5},
@@ -224,7 +225,7 @@ func randomJointSignal(rng *rand.Rand) JointSignal {
 		}
 		tenants[i] = ts
 	}
-	return JointSignal{
+	return Signal{
 		Tenants:            tenants,
 		Replicas:           1 + rng.Intn(4),
 		CapacityPerReplica: rng.Float64() * 120,
@@ -242,10 +243,10 @@ func TestJointDecideDeterministicReplay(t *testing.T) {
 	p := jointPolicy()
 
 	rng := rand.New(rand.NewSource(seed))
-	signals := make([]JointSignal, rounds)
-	first := make([]JointAction, rounds)
+	signals := make([]Signal, rounds)
+	first := make([]Action, rounds)
 	for i := range signals {
-		signals[i] = randomJointSignal(rng)
+		signals[i] = randomSignal(rng)
 		first[i] = p.Decide(signals[i])
 	}
 
@@ -276,7 +277,7 @@ func TestJointDecideDeterministicReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back JointSignal
+		var back Signal
 		if err := json.Unmarshal(raw, &back); err != nil {
 			t.Fatal(err)
 		}
@@ -287,11 +288,11 @@ func TestJointDecideDeterministicReplay(t *testing.T) {
 }
 
 func TestJointPolicyValidate(t *testing.T) {
-	p := JointPolicy{Limits: Limits{PricePerReplicaHour: -1}}
-	if err := p.Validate(); err == nil {
+	p := Policy{Limits: Limits{PricePerReplicaHour: -1}}
+	if err := p.validate(); err == nil {
 		t.Fatal("negative price should not validate")
 	}
-	if err := jointPolicy().Validate(); err != nil {
+	if err := jointPolicy().validate(); err != nil {
 		t.Fatalf("fixture policy should validate: %v", err)
 	}
 }

@@ -5,11 +5,17 @@ import (
 	"testing"
 )
 
-// testPolicy is the shared table under test: a 3-rung ladder on $1/hr
-// replicas with a $4/hr budget, 1–4 replicas.
+// The single-tenant table under test: a 3-rung ladder on $1/hr replicas
+// with a $4/hr budget, 1–4 replicas, a 50 ms SLO. Every row runs as the
+// one-tenant case of the fleet policy.
+var testProfiles = []Profile{
+	{Degree: "nonpruned", Accuracy: 0.57, Speed: 1},
+	{Degree: "conv@50", Accuracy: 0.52, Speed: 1.6},
+	{Degree: "conv@90", Accuracy: 0.30, Speed: 2.4},
+}
+
 func testPolicy() Policy {
 	return Policy{
-		SLOSeconds:        0.050,
 		TargetUtilization: 0.7,
 		DegradeQueueFrac:  0.75,
 		RestoreFraction:   0.5,
@@ -19,17 +25,46 @@ func testPolicy() Policy {
 			MinReplicas: 1, MaxReplicas: 4,
 			PricePerReplicaHour: 1, BudgetPerHour: 4,
 		},
-		Profiles: []Profile{
-			{Degree: "nonpruned", Accuracy: 0.57, Speed: 1},
-			{Degree: "conv@50", Accuracy: 0.52, Speed: 1.6},
-			{Degree: "conv@90", Accuracy: 0.30, Speed: 2.4},
-		},
 	}
 }
 
-// base is a calm mid-state signal; rows tweak it.
-func base() Signal {
+// oneTenant is a single-tenant tick: the fleet's state plus its one
+// tenant's observations, under the fields the table rows tweak.
+type oneTenant struct {
+	ArrivalRate, CapacityPerReplica float64
+	P99                             float64
+	Samples                         int
+	QueueFrac                       float64
+	Replicas, Variant               int
+	Healthy, SinceScale             int
+}
+
+// signal is the one-tenant Signal: the tenant carries the 50 ms SLO and
+// the test ladder.
+func (o oneTenant) signal() Signal {
 	return Signal{
+		Tenants: []TenantSignal{{
+			Name: "default", ArrivalRate: o.ArrivalRate,
+			P99: o.P99, Samples: o.Samples, QueueFrac: o.QueueFrac,
+			Variant: o.Variant, SLOSeconds: 0.050, Profiles: testProfiles,
+		}},
+		Replicas: o.Replicas, CapacityPerReplica: o.CapacityPerReplica,
+		Healthy: o.Healthy, SinceScale: o.SinceScale,
+	}
+}
+
+// rung is the one tenant's rung after act: a ladder move's target, or
+// where it was.
+func rung(act Action, cur int) int {
+	if act.Verb == Degrade || act.Verb == Restore {
+		return act.Variant
+	}
+	return cur
+}
+
+// base is a calm mid-state tick; rows tweak it.
+func base() oneTenant {
+	return oneTenant{
 		ArrivalRate: 40, CapacityPerReplica: 50,
 		P99: 0.020, Samples: 100, QueueFrac: 0.1,
 		Replicas: 2, Variant: 0,
@@ -41,7 +76,7 @@ func TestDecideTable(t *testing.T) {
 	p := testPolicy()
 	rows := []struct {
 		name string
-		sig  func(Signal) Signal
+		sig  func(oneTenant) oneTenant
 		pol  func(Policy) Policy
 		verb Verb
 		// optional target checks (−1 = don't care)
@@ -49,7 +84,7 @@ func TestDecideTable(t *testing.T) {
 	}{
 		{
 			name: "surge scales out before degrading while budget allows",
-			sig: func(s Signal) Signal {
+			sig: func(s oneTenant) oneTenant {
 				s.P99 = 0.120
 				return s
 			},
@@ -57,7 +92,7 @@ func TestDecideTable(t *testing.T) {
 		},
 		{
 			name: "queue pressure alone also buys a replica first",
-			sig: func(s Signal) Signal {
+			sig: func(s oneTenant) oneTenant {
 				s.QueueFrac = 0.9
 				return s
 			},
@@ -65,7 +100,7 @@ func TestDecideTable(t *testing.T) {
 		},
 		{
 			name: "budget bound: surge degrades instead of scaling",
-			sig: func(s Signal) Signal {
+			sig: func(s oneTenant) oneTenant {
 				s.P99, s.Replicas = 0.120, 4 // 5th replica would cost $5/hr > $4
 				return s
 			},
@@ -73,7 +108,7 @@ func TestDecideTable(t *testing.T) {
 		},
 		{
 			name: "replica cap binds the same way the budget does",
-			sig: func(s Signal) Signal {
+			sig: func(s oneTenant) oneTenant {
 				s.P99, s.Replicas = 0.120, 4
 				return s
 			},
@@ -85,7 +120,7 @@ func TestDecideTable(t *testing.T) {
 		},
 		{
 			name: "saturated: max rung and max replicas holds",
-			sig: func(s Signal) Signal {
+			sig: func(s oneTenant) oneTenant {
 				s.P99, s.Replicas, s.Variant = 0.120, 4, 2
 				return s
 			},
@@ -93,7 +128,7 @@ func TestDecideTable(t *testing.T) {
 		},
 		{
 			name: "overload during scale cooldown waits for the warm replica",
-			sig: func(s Signal) Signal {
+			sig: func(s oneTenant) oneTenant {
 				s.P99, s.SinceScale = 0.120, 1
 				return s
 			},
@@ -101,7 +136,7 @@ func TestDecideTable(t *testing.T) {
 		},
 		{
 			name: "over budget shrinks immediately even when healthy",
-			sig: func(s Signal) Signal {
+			sig: func(s oneTenant) oneTenant {
 				s.Replicas = 3
 				return s
 			},
@@ -113,7 +148,7 @@ func TestDecideTable(t *testing.T) {
 		},
 		{
 			name: "quiet fleet restores accuracy before returning replicas",
-			sig: func(s Signal) Signal {
+			sig: func(s oneTenant) oneTenant {
 				s.Variant, s.Healthy, s.ArrivalRate = 1, 2, 10
 				return s
 			},
@@ -121,7 +156,7 @@ func TestDecideTable(t *testing.T) {
 		},
 		{
 			name: "quiet and fully accurate: scale-in after the streak",
-			sig: func(s Signal) Signal {
+			sig: func(s oneTenant) oneTenant {
 				s.Healthy, s.ArrivalRate = 2, 10 // one replica at 50 rps × 0.7 fits 10 rps
 				return s
 			},
@@ -129,7 +164,7 @@ func TestDecideTable(t *testing.T) {
 		},
 		{
 			name: "healthy but streak too short holds and counts",
-			sig: func(s Signal) Signal {
+			sig: func(s oneTenant) oneTenant {
 				s.Healthy = 0
 				return s
 			},
@@ -137,7 +172,7 @@ func TestDecideTable(t *testing.T) {
 		},
 		{
 			name: "scale-in deferred when the load would not fit",
-			sig: func(s Signal) Signal {
+			sig: func(s oneTenant) oneTenant {
 				s.Healthy, s.ArrivalRate = 2, 69 // 1 replica fits only 35 rps
 				return s
 			},
@@ -145,7 +180,7 @@ func TestDecideTable(t *testing.T) {
 		},
 		{
 			name: "relaxation deferred while capacity is unknown",
-			sig: func(s Signal) Signal {
+			sig: func(s oneTenant) oneTenant {
 				s.Healthy, s.CapacityPerReplica, s.Variant = 2, 0, 1
 				return s
 			},
@@ -153,7 +188,7 @@ func TestDecideTable(t *testing.T) {
 		},
 		{
 			name: "idle ticks count as healthy",
-			sig: func(s Signal) Signal {
+			sig: func(s oneTenant) oneTenant {
 				s.Samples, s.P99, s.ArrivalRate, s.Healthy, s.Variant = 0, 0, 0, 2, 1
 				return s
 			},
@@ -166,17 +201,17 @@ func TestDecideTable(t *testing.T) {
 			if row.pol != nil {
 				pol = row.pol(p)
 			}
-			sig := row.sig(base())
-			act := pol.Decide(sig)
+			o := row.sig(base())
+			act := pol.Decide(o.signal())
 			if act.Verb != row.verb {
-				t.Fatalf("Decide(%+v) = %s (%q), want %s", sig, act.Verb, act.Reason, row.verb)
+				t.Fatalf("Decide(%+v) = %s (%q), want %s", o, act.Verb, act.Reason, row.verb)
 			}
 			if row.verb != Hold {
 				if act.Replicas != row.replicas {
 					t.Fatalf("target replicas = %d, want %d", act.Replicas, row.replicas)
 				}
-				if act.Variant != row.variant {
-					t.Fatalf("target variant = %d, want %d", act.Variant, row.variant)
+				if got := rung(act, o.Variant); got != row.variant {
+					t.Fatalf("target variant = %d, want %d", got, row.variant)
 				}
 			}
 		})
@@ -196,7 +231,7 @@ func TestHysteresisHoldsUnderFlappingInput(t *testing.T) {
 		} else {
 			s.P99 = 0.030 // inside SLO but above the restore band (0.025)
 		}
-		act := p.Decide(s)
+		act := p.Decide(s.signal())
 		if act.Verb != Hold {
 			t.Fatalf("tick %d: flapping input produced %s (%q)", i, act.Verb, act.Reason)
 		}
@@ -212,14 +247,14 @@ func TestStreakResetOnViolation(t *testing.T) {
 	s.Variant = 1
 	s.P99 = 0.020
 	for i := 0; i < 2; i++ {
-		act := p.Decide(s)
+		act := p.Decide(s.signal())
 		s.Healthy = act.Healthy
 	}
 	if s.Healthy != 2 {
 		t.Fatalf("streak = %d after two healthy ticks, want 2", s.Healthy)
 	}
 	s.P99 = 0.120
-	act := p.Decide(s)
+	act := p.Decide(s.signal())
 	if act.Healthy != 0 {
 		t.Fatalf("violation carried streak %d forward", act.Healthy)
 	}
@@ -240,7 +275,7 @@ func TestDecideDeterministic(t *testing.T) {
 		var out []Action
 		for _, p99 := range p99s {
 			s.P99 = p99
-			act := p.Decide(s)
+			act := p.Decide(s.signal())
 			out = append(out, act)
 			s.Healthy = act.Healthy
 			if act.Verb == ScaleOut || act.Verb == ScaleIn {
@@ -248,7 +283,7 @@ func TestDecideDeterministic(t *testing.T) {
 			} else {
 				s.SinceScale++
 			}
-			s.Replicas, s.Variant = act.Replicas, act.Variant
+			s.Replicas, s.Variant = act.Replicas, rung(act, s.Variant)
 		}
 		return out
 	}
@@ -267,12 +302,16 @@ func TestDecideDeterministic(t *testing.T) {
 	}
 }
 
+// TestPolicyValidate: the one policy holds only the fleet's knobs, so a
+// negative budget is what fails here; a tenant without profiles fails in
+// New (TestNewValidates), and an SLO is a tenant's, never the policy's.
 func TestPolicyValidate(t *testing.T) {
-	if err := (Policy{}).validate(); err == nil {
-		t.Fatal("empty policy must not validate")
-	}
 	p := testPolicy()
-	if err := p.validate(); err != nil {
+	p.Limits.BudgetPerHour = -1
+	if err := p.validate(); err == nil {
+		t.Fatal("negative budget must not validate")
+	}
+	if err := testPolicy().validate(); err != nil {
 		t.Fatal(err)
 	}
 }

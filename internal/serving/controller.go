@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"ccperf/internal/stats"
 	"ccperf/internal/telemetry"
 )
 
@@ -105,26 +104,11 @@ func (g *Gateway) controlLoop() {
 	}
 }
 
-// ControlSignal drains the latency window accumulated since the last call
-// and snapshots queue pressure — one control interval's observation. It is
-// consumed either by the gateway's own pruning controller or, under
-// Config.ExternalControl, by the autoscaler that has taken over both the
-// ladder and the replica count. Healthy carries the built-in controller's
-// streak; an external controller keeps its own.
-func (g *Gateway) ControlSignal() Signal {
-	window := g.takeWindow()
-	return Signal{
-		P99:       stats.Percentile(window, 0.99),
-		Samples:   len(window),
-		QueueFrac: float64(len(g.queue)) / float64(g.cfg.QueueCap),
-		Healthy:   g.healthy,
-	}
-}
-
 // controlTick evaluates one interval and applies the decision. It is the
 // unit the tests drive directly.
 func (g *Gateway) controlTick() {
-	sig := g.ControlSignal()
+	o := g.observe()
+	sig := Signal{P99: o.P99, Samples: o.Samples, QueueFrac: o.QueueFrac, Healthy: g.healthy}
 	action, streak := g.policy().Decide(sig)
 	g.healthy = streak
 	g.apply(action, sig)

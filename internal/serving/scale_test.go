@@ -126,20 +126,24 @@ func TestReplicaSecondsAccrues(t *testing.T) {
 
 func TestSetVariantClampsAndCounts(t *testing.T) {
 	g := testGateway(t, Config{Ladder: testLadder(t, 0, 0.5, 0.9)})
-	if got := g.SetVariant(context.Background(), 99); got != 2 {
+	ctx := context.Background()
+	if got, _ := g.SetVariant(ctx, DefaultTenant, 99); got != 2 {
 		t.Fatalf("SetVariant(99) = %d, want clamp to 2", got)
 	}
 	if got := g.Stats().Degrades; got != 2 {
 		t.Fatalf("degrades = %d after two-rung jump, want 2", got)
 	}
-	if got := g.SetVariant(context.Background(), -5); got != 0 {
+	if got, _ := g.SetVariant(ctx, "", -5); got != 0 {
 		t.Fatalf("SetVariant(-5) = %d, want clamp to 0", got)
 	}
 	if got := g.Stats().Restores; got != 2 {
 		t.Fatalf("restores = %d after two-rung return, want 2", got)
 	}
-	if got := g.SetVariant(context.Background(), 0); got != 0 || g.Stats().Restores != 2 {
+	if got, _ := g.SetVariant(ctx, DefaultTenant, 0); got != 0 || g.Stats().Restores != 2 {
 		t.Fatal("no-op SetVariant must not count a move")
+	}
+	if _, err := g.SetVariant(ctx, "acme", 1); err == nil || g.CurrentVariant() != 0 {
+		t.Fatal("a gateway serves DefaultTenant only; another tenant's move must fail")
 	}
 }
 

@@ -109,7 +109,7 @@ type Config struct {
 	WarmupDelay time.Duration
 	// ExternalControl disables the built-in pruning controller so an
 	// outside control plane (internal/autoscale) owns both the ladder and
-	// the replica count, through ControlSignal, SetVariant and ScaleTo.
+	// the replica count, through Observe, SetVariant and ScaleTo.
 	ExternalControl bool
 	// Registry and Tracer receive telemetry (nil = package defaults).
 	Registry *telemetry.Registry
@@ -300,9 +300,8 @@ type Gateway struct {
 	execServed  int64
 
 	// window collects the current control interval's total latencies
-	// (seconds); the controller swaps it out each tick.
-	windowMu sync.Mutex
-	window   []float64
+	// (seconds); whichever control loop runs drains it each tick.
+	window Window
 
 	// stageMu guards the tenant-keyed stage histogram sets; defaultStages
 	// is prefetched so the single-tenant path skips the map.
@@ -830,7 +829,7 @@ func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time
 			r.stages.queueWait.Observe(now.Sub(r.enqueued).Seconds())
 		}
 		g.m.total.Observe(total.Seconds())
-		g.observeLatency(total.Seconds())
+		g.window.Add(total.Seconds())
 		r.respond(Response{
 			ID:       r.id,
 			Class:    outs[i].ArgMax(),
@@ -888,23 +887,6 @@ func (g *Gateway) retryOrFail(r *request) {
 			fail(ErrOverloaded)
 		}
 	}()
-}
-
-// observeLatency adds one completed-request latency to the controller's
-// current interval window.
-func (g *Gateway) observeLatency(sec float64) {
-	g.windowMu.Lock()
-	g.window = append(g.window, sec)
-	g.windowMu.Unlock()
-}
-
-// takeWindow swaps out the interval window.
-func (g *Gateway) takeWindow() []float64 {
-	g.windowMu.Lock()
-	w := g.window
-	g.window = nil
-	g.windowMu.Unlock()
-	return w
 }
 
 // Stats is a point-in-time view of the gateway's counters, for /status and
@@ -996,15 +978,19 @@ func (g *Gateway) Stats() Stats {
 func (g *Gateway) CurrentVariant() int { return int(g.variant.Load()) }
 
 // SetVariant moves the ladder to rung target (clamped to the ladder ends)
-// and returns the rung now in effect. Each rung crossed counts as one
-// degrade or restore in the gateway's counters, so an external controller
-// jumping several rungs stays comparable with the built-in one-step
-// controller. Safe from any goroutine.
+// and returns the rung now in effect. tenant must be DefaultTenant ("" is
+// DefaultTenant, as in SubmitAs). Each rung crossed counts as one degrade
+// or restore in the gateway's counters, so an external controller jumping
+// several rungs stays comparable with the built-in one-step controller.
+// Safe from any goroutine.
 //
 // ctx is the caller's trace context (nil = Background): an external
 // control plane passes its decision span's context so the
-// serving.set_variant span links to the autoscaler verb that caused it.
-func (g *Gateway) SetVariant(ctx context.Context, target int) int {
+// serving.set_variant span links to the verb that caused it.
+func (g *Gateway) SetVariant(ctx context.Context, tenant string, target int) (int, error) {
+	if tenant != "" && tenant != DefaultTenant {
+		return 0, fmt.Errorf("serving: unknown tenant %q", tenant)
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -1018,7 +1004,7 @@ func (g *Gateway) SetVariant(ctx context.Context, target int) int {
 		cur := g.variant.Load()
 		next := int64(target)
 		if next == cur {
-			return target
+			return target, nil
 		}
 		if !g.variant.CompareAndSwap(cur, next) {
 			continue
@@ -1034,7 +1020,7 @@ func (g *Gateway) SetVariant(ctx context.Context, target int) int {
 			telemetry.L("from", g.cfg.Ladder[cur].Degree.Label()),
 			telemetry.L("to", g.cfg.Ladder[next].Degree.Label()),
 		)
-		return target
+		return target, nil
 	}
 }
 

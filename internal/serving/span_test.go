@@ -91,7 +91,7 @@ func TestSetVariantSpanLinkage(t *testing.T) {
 	tracer := telemetry.NewTracer(64)
 	g := testGateway(t, Config{Tracer: tracer, ExternalControl: true})
 	ctx, finish := tracer.StartSpan(context.Background(), "test.decision")
-	if got := g.SetVariant(ctx, 1); got != 1 {
+	if got, err := g.SetVariant(ctx, DefaultTenant, 1); err != nil || got != 1 {
 		t.Fatalf("SetVariant = %d", got)
 	}
 	finish()

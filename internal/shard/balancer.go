@@ -9,6 +9,7 @@ import (
 	"ccperf/internal/autoscale"
 	"ccperf/internal/cloud"
 	"ccperf/internal/fault"
+	"ccperf/internal/serving"
 )
 
 // Balancer closes the regional control loop over a Router: each tick it
@@ -17,7 +18,7 @@ import (
 // region's shards), asks the pure autoscale.RegionalPolicy for actions,
 // and actuates them — biases on the router for traffic shifting, ladder
 // rungs on the region's gateways for degradation. It follows the
-// observe/decide/actuate shape of autoscale.Autoscaler one level up.
+// observe/decide/actuate shape of autoscale.Scaler one level up.
 //
 // Gateways under a Balancer should run with ExternalControl so the
 // built-in per-gateway controller does not fight the regional one over
@@ -91,11 +92,12 @@ func (b *Balancer) observe(elapsed float64) []autoscale.RegionSignal {
 		if cs.Variant > sig.Variant {
 			sig.Variant = cs.Variant
 		}
-		win := b.r.shards[st.Shard].gw.ControlSignal()
-		if win.P99 > sig.P99 {
-			sig.P99 = win.P99
+		for _, win := range b.r.shards[st.Shard].gw.Observe() {
+			if win.P99 > sig.P99 {
+				sig.P99 = win.P99
+			}
+			sig.Samples += win.Samples
 		}
-		sig.Samples += win.Samples
 		sig.Variants = len(b.r.shards[st.Shard].gw.Config().Ladder)
 	}
 	for _, name := range regions {
@@ -120,7 +122,7 @@ func (b *Balancer) actuate(ctx context.Context, actions []autoscale.RegionAction
 		case autoscale.ShiftAway, autoscale.ShiftBack:
 			b.r.SetBias(i, a.Bias)
 		case autoscale.RegionDegrade, autoscale.RegionRestore:
-			st.gw.SetVariant(ctx, a.Variant)
+			st.gw.SetVariant(ctx, serving.DefaultTenant, a.Variant)
 		}
 	}
 }

@@ -5,8 +5,25 @@ import (
 	"time"
 
 	"ccperf/internal/autoscale"
+	"ccperf/internal/serving"
 	"ccperf/internal/telemetry"
 )
+
+// profilesFromLadder derives scaler profiles from a built variant ladder:
+// accuracy proxies come from the variants, speeds from the caller (nil =
+// all 1, a "degrading frees nothing" model that makes the policy prefer
+// replicas).
+func profilesFromLadder(ladder []serving.Variant, speeds []float64) []autoscale.Profile {
+	out := make([]autoscale.Profile, len(ladder))
+	for i, v := range ladder {
+		speed := 1.0
+		if i < len(speeds) && speeds[i] > 0 {
+			speed = speeds[i]
+		}
+		out[i] = autoscale.Profile{Degree: v.Degree.Label(), Accuracy: v.Accuracy, Speed: speed}
+	}
+	return out
+}
 
 // TestEndToEndFloodIsolationAndJointPlacement is the PR's acceptance
 // scenario, asserted rather than logged: tenant A floods at 5× its
@@ -39,11 +56,11 @@ func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 		MaxBatch: 2,
 	})
 	profiles := map[string][]autoscale.Profile{
-		"a": ProfilesFromLadder(m.Ladder("a"), []float64{1, 1.6, 2.5}),
-		"b": ProfilesFromLadder(m.Ladder("b"), []float64{1, 1}),
+		"a": profilesFromLadder(m.Ladder("a"), []float64{1, 1.6, 2.5}),
+		"b": profilesFromLadder(m.Ladder("b"), []float64{1, 1}),
 	}
-	sc, err := NewScaler(m, ScalerConfig{
-		Policy: autoscale.JointPolicy{
+	sc, err := autoscale.New(m, autoscale.Config{
+		Policy: autoscale.Policy{
 			// MaxReplicas = 1 closes the scale-out escape hatch: capacity
 			// pressure must be paid in accuracy, exposing degrade order.
 			Limits: autoscale.Limits{MinReplicas: 1, MaxReplicas: 1, PricePerReplicaHour: 1.0},

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"time"
 
+	"ccperf/internal/autoscale"
 	"ccperf/internal/serving"
 	"ccperf/internal/tensor"
 )
@@ -38,13 +39,13 @@ type InferResponse struct {
 }
 
 // StatusReply is the GET /gateway/status body: one row per tenant plus
-// the fleet view and, when a joint scaler is attached, its placement
-// status (per-tenant attributed cost and $/million-on-time).
+// the fleet view and, when a scaler is attached, its placement status
+// (per-tenant attributed cost and $/million-on-time).
 type StatusReply struct {
-	Replicas       int           `json:"replicas"`
-	ReplicaSeconds float64       `json:"replica_seconds"`
-	Tenants        []TenantStats `json:"tenants"`
-	Joint          *JointStatus  `json:"joint,omitempty"`
+	Replicas       int               `json:"replicas"`
+	ReplicaSeconds float64           `json:"replica_seconds"`
+	Tenants        []TenantStats     `json:"tenants"`
+	Joint          *autoscale.Status `json:"joint,omitempty"`
 }
 
 // Handler exposes the multi-tenant mux over HTTP:
@@ -55,7 +56,7 @@ type StatusReply struct {
 // A quota rejection maps to 429 Too Many Requests (same as shedding — both
 // are back-pressure a load balancer should honor), an unknown tenant to
 // 404, an expired deadline to 504, shutdown to 503. The scaler may be nil.
-func Handler(m *Mux, sc *Scaler) http.Handler {
+func Handler(m *Mux, sc *autoscale.Scaler) http.Handler {
 	hmux := http.NewServeMux()
 	hmux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {

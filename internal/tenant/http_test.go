@@ -125,9 +125,9 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 
 func TestHandlerStatusIncludesJoint(t *testing.T) {
 	m := testMux(t, Config{Specs: []Spec{{Name: "a", Ladder: []float64{0, 0.9}}}})
-	sc, err := NewScaler(m, ScalerConfig{
-		Policy:   autoscale.JointPolicy{Limits: autoscale.Limits{MinReplicas: 1, MaxReplicas: 4, PricePerReplicaHour: 1}},
-		Profiles: map[string][]autoscale.Profile{"a": ProfilesFromLadder(m.Ladder("a"), nil)},
+	sc, err := autoscale.New(m, autoscale.Config{
+		Policy:   autoscale.Policy{Limits: autoscale.Limits{MinReplicas: 1, MaxReplicas: 4, PricePerReplicaHour: 1}},
+		Profiles: map[string][]autoscale.Profile{"a": profilesFromLadder(m.Ladder("a"), nil)},
 		Interval: time.Hour, // ticked manually, never by the clock
 		Registry: telemetry.NewRegistry(),
 		Tracer:   telemetry.NewTracer(64),

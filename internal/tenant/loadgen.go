@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"ccperf/internal/autoscale"
 	"ccperf/internal/serving"
 	"ccperf/internal/stats"
 	"ccperf/internal/telemetry"
@@ -25,12 +26,12 @@ type LoadConfig struct {
 	// Seed+i in registry order, so runs replay deterministically).
 	Seed int64
 	// Cooldown keeps the fleet running idle after the last arrival so the
-	// joint scaler can observe recovery (0 = none).
+	// scaler can observe recovery (0 = none).
 	Cooldown time.Duration
-	// Scaler, when non-nil, folds the joint placement status — per-tenant
-	// attributed cost, $/million-on-time, who degraded first — into the
-	// report.
-	Scaler *Scaler
+	// Scaler, when non-nil, folds the scaler's placement status —
+	// per-tenant attributed cost, $/million-on-time, who degraded first —
+	// into the report.
+	Scaler *autoscale.Scaler
 }
 
 // TenantReport is one tenant's slice of a multi-tenant load test.
@@ -89,7 +90,7 @@ type Report struct {
 	Throughput float64 `json:"throughput_rps"`
 	// Joint is the scaler's final status (nil when no scaler ran): the
 	// fleet bill split per tenant, $/million-on-time, degrade order.
-	Joint *JointStatus `json:"joint,omitempty"`
+	Joint *autoscale.Status `json:"joint,omitempty"`
 }
 
 // Tenant returns the named row (nil when absent).

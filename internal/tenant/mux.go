@@ -10,7 +10,6 @@ import (
 
 	"ccperf/internal/fault"
 	"ccperf/internal/serving"
-	"ccperf/internal/stats"
 	"ccperf/internal/telemetry"
 	"ccperf/internal/tensor"
 )
@@ -170,9 +169,8 @@ type tenantState struct {
 	quantum float64
 
 	// window collects completed-request latencies (seconds) since the
-	// last Observe, for the joint scaler's per-tenant p99.
-	winMu  sync.Mutex
-	window []float64
+	// last Observe, for the scaler's per-tenant p99.
+	window serving.Window
 
 	m tenantMetrics
 }
@@ -189,8 +187,8 @@ type muxReplica struct {
 // bounded private backlog) in front of a shared replica fleet whose
 // batchers pick single-tenant batches by weighted deficit round-robin.
 // Construct with New, then Start; SubmitAs from any goroutine; Stop for a
-// graceful drain. ScaleTo and SetVariant expose the two control axes to
-// the joint scaler.
+// graceful drain. Observe, ScaleTo and SetVariant expose the two control
+// axes to autoscale.Scaler.
 type Mux struct {
 	cfg     Config
 	reg     *Registry
@@ -380,7 +378,7 @@ func (m *Mux) ReplicaCount() int {
 }
 
 // ExecStats reports cumulative served requests and batch busy-time across
-// all replicas — the joint scaler's capacity estimator input.
+// all replicas — the scaler's capacity estimator input.
 func (m *Mux) ExecStats() (served int64, execSeconds float64) {
 	m.execMu.Lock()
 	defer m.execMu.Unlock()
@@ -781,7 +779,7 @@ func (m *Mux) execute(h *muxReplica, t *tenantState, batch []*request, pulledAt 
 		}
 		t.m.queueWait.Observe(now.Sub(r.enqueued).Seconds())
 		t.m.total.Observe(total.Seconds())
-		t.observeLatency(total.Seconds())
+		t.window.Add(total.Seconds())
 		r.respond(serving.Response{
 			ID:       r.id,
 			Class:    outs[i].ArgMax(),
@@ -840,23 +838,6 @@ func (m *Mux) retryOrFail(r *request) {
 	}()
 }
 
-// observeLatency adds one completed-request latency to the tenant's
-// control window.
-func (t *tenantState) observeLatency(sec float64) {
-	t.winMu.Lock()
-	t.window = append(t.window, sec)
-	t.winMu.Unlock()
-}
-
-// takeWindow swaps out the tenant's latency window.
-func (t *tenantState) takeWindow() []float64 {
-	t.winMu.Lock()
-	w := t.window
-	t.window = nil
-	t.winMu.Unlock()
-	return w
-}
-
 // CurrentVariant returns the rung the named tenant serves at (-1 for an
 // unknown tenant).
 func (m *Mux) CurrentVariant(name string) int {
@@ -910,48 +891,35 @@ func (m *Mux) SetVariant(ctx context.Context, name string, target int) (int, err
 	}
 }
 
-// Observation is one tenant's control-tick view: the drained latency
-// window plus cumulative counters the scaler turns into rates.
-type Observation struct {
-	Name      string  `json:"name"`
-	P99       float64 `json:"p99_seconds"`
-	Samples   int     `json:"samples"`
-	QueueFrac float64 `json:"queue_frac"`
-	Variant   int     `json:"variant"`
-	Submitted int64   `json:"submitted"`
-	Rejected  int64   `json:"rejected"`
-	Shed      int64   `json:"shed"`
-	Expired   int64   `json:"expired"`
-	Faulted   int64   `json:"faulted"`
-	Served    int64   `json:"served"`
-	OnTime    int64   `json:"on_time"`
-}
+// Tenants names the tenants in registry (name) order.
+func (m *Mux) Tenants() []string { return m.reg.Names() }
 
-// Observe drains the named tenant's latency window and snapshots its
-// counters — one control tick's per-tenant observation.
-func (m *Mux) Observe(name string) (Observation, error) {
-	t := m.tenant(name)
-	if t == nil {
-		return Observation{}, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
+// Observe drains every tenant's latency window and snapshots its counters:
+// one control tick's rows, in registry order.
+func (m *Mux) Observe() []serving.Observation {
+	out := make([]serving.Observation, len(m.tenants))
+	for i, t := range m.tenants {
+		p99, n := t.window.Drain()
+		m.qMu.Lock()
+		backlog := len(t.backlog)
+		m.qMu.Unlock()
+		out[i] = serving.Observation{
+			Name:           t.spec.Name,
+			SLOSeconds:     t.spec.SLO().Seconds(),
+			MaxCostPerHour: t.spec.MaxCostPerHour,
+			P99:            p99,
+			Samples:        n,
+			QueueFrac:      float64(backlog) / float64(t.spec.QueueCap),
+			Variant:        int(t.variant.Load()),
+			Submitted:      t.m.submitted.Value(),
+			Shed:           t.m.shed.Value(),
+			Expired:        t.m.expired.Value(),
+			Faulted:        t.m.faulted.Value(),
+			Served:         t.m.served.Value(),
+			OnTime:         t.m.onTime.Value(),
+		}
 	}
-	window := t.takeWindow()
-	m.qMu.Lock()
-	backlog := len(t.backlog)
-	m.qMu.Unlock()
-	return Observation{
-		Name:      name,
-		P99:       stats.Percentile(window, 0.99),
-		Samples:   len(window),
-		QueueFrac: float64(backlog) / float64(t.spec.QueueCap),
-		Variant:   int(t.variant.Load()),
-		Submitted: t.m.submitted.Value(),
-		Rejected:  t.m.rejected.Value(),
-		Shed:      t.m.shed.Value(),
-		Expired:   t.m.expired.Value(),
-		Faulted:   t.m.faulted.Value(),
-		Served:    t.m.served.Value(),
-		OnTime:    t.m.onTime.Value(),
-	}, nil
+	return out
 }
 
 // TenantStats is one tenant's row in /gateway/status and the loadtest

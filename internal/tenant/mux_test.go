@@ -333,7 +333,7 @@ func TestStageStatsKeyedByTenant(t *testing.T) {
 }
 
 func TestObserveDrainsWindow(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{{Name: "a"}}})
+	m := testMux(t, Config{Specs: []Spec{{Name: "b", SLOMS: 80, MaxCostPerHour: 2}, {Name: "a", SLOMS: 60_000}}})
 	m.Start()
 	defer m.Stop()
 	for i := 0; i < 3; i++ {
@@ -341,19 +341,18 @@ func TestObserveDrainsWindow(t *testing.T) {
 			t.Fatal(resp.Err)
 		}
 	}
-	o, err := m.Observe("a")
-	if err != nil {
-		t.Fatal(err)
+	rows := m.Observe()
+	if len(rows) != 2 || rows[0].Name != "a" || rows[1].Name != "b" {
+		t.Fatalf("rows %+v, want one per tenant in registry order", rows)
 	}
-	if o.Samples != 3 || o.P99 <= 0 {
-		t.Fatalf("observation %+v, want 3 samples with positive p99", o)
+	if o := rows[0]; o.Samples != 3 || o.P99 <= 0 || o.Served != 3 || o.OnTime != 3 {
+		t.Fatalf("observation %+v, want 3 on-time samples with positive p99", o)
 	}
-	o2, _ := m.Observe("a")
-	if o2.Samples != 0 {
+	if o := rows[1]; o.Samples != 0 || o.SLOSeconds != 0.08 || o.MaxCostPerHour != 2 {
+		t.Fatalf("idle tenant b %+v, want no samples, its 0.08 s SLO and $2/hr cap", o)
+	}
+	if o2 := m.Observe()[0]; o2.Samples != 0 {
 		t.Fatalf("window not drained: %d samples remain", o2.Samples)
-	}
-	if _, err := m.Observe("ghost"); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("err = %v, want ErrUnknownTenant", err)
 	}
 }
 

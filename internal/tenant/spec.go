@@ -17,10 +17,10 @@
 //     round-robin across the per-tenant backlogs, coalescing only
 //     same-tenant requests (each tenant runs its own nets), so a noisy
 //     neighbor cannot starve a quiet one of replica time.
-//   - Joint placement: a Scaler binds the pure autoscale.JointPolicy to
-//     the fleet — which tenant degrades first (largest accuracy-per-
-//     dollar slack), which gets freed capacity, per-tenant $/hr
-//     enforcement.
+//   - Joint placement: autoscale.Scaler drives the mux like any fleet,
+//     binding the pure autoscale.Policy to it — which tenant degrades
+//     first (largest accuracy-per-dollar slack), which gets freed
+//     capacity, per-tenant $/hr enforcement.
 //
 // The tenant spec format, fairness model and degrade-order semantics are
 // documented in docs/MULTITENANT.md.
@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -46,7 +47,7 @@ type Spec struct {
 	// own variant set — rungs are never shared across tenants.
 	Ladder []float64 `json:"ladder,omitempty"`
 	// SLOMS is the tenant's p99 latency objective in milliseconds
-	// (default 50). On-time accounting and the joint scaler defend it.
+	// (default 50). On-time accounting and the scaler defend it.
 	SLOMS float64 `json:"slo_ms,omitempty"`
 	// DeadlineMS is the per-request deadline in milliseconds applied at
 	// admission when the caller supplies none (0 = no deadline).
@@ -64,7 +65,7 @@ type Spec struct {
 	// is shed with serving.ErrOverloaded.
 	QueueCap int `json:"queue_cap,omitempty"`
 	// MaxCostPerHour caps the tenant's attributed share of the fleet burn
-	// rate (0 = uncapped); the joint scaler degrades a tenant over its
+	// rate (0 = uncapped); the scaler degrades a tenant over its
 	// cap regardless of fleet health.
 	MaxCostPerHour float64 `json:"max_cost_per_hour,omitempty"`
 	// OfferedQPS is the open-loop load RunLoad generates for this tenant
@@ -106,7 +107,24 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// Validate rejects a spec the fleet cannot host.
+// Bounds on a spec's rates and latencies: a positive qps or offered_qps
+// lies in [MinSpecQPS, MaxSpecQPS] (requests/second), a positive slo_ms
+// or deadline_ms in [MinSpecMS, MaxSpecMS]. They sit far outside any real
+// tenant (examples/tenants.json asks for 10–60 req/s and 250–500 ms) and
+// keep every derived duration representable: SLO() and Deadline() neither
+// round to zero nor overflow, and RunLoad's inter-arrival gaps neither
+// round to zero (at offered_qps 1e12 every gap did, so the replay never
+// advanced) nor overflow.
+const (
+	MinSpecQPS = 1e-3
+	MaxSpecQPS = 1e6
+	MinSpecMS  = 1e-3
+	MaxSpecMS  = 86_400_000 // one day
+)
+
+// Validate rejects a spec the fleet cannot host. Every numeric field must
+// be finite and non-negative, and the rate and latency fields within
+// their bounds; the error names the tenant and the field.
 func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("tenant: spec needs a name")
@@ -116,10 +134,30 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("tenant %s: ladder ratio %v out of [0,1]", s.Name, r)
 		}
 	}
-	if s.QPS < 0 || s.Burst < 0 || s.Weight < 0 || s.SLOMS < 0 ||
-		s.DeadlineMS < 0 || s.MaxCostPerHour < 0 || s.OfferedQPS < 0 ||
-		s.Images < 0 || s.PackDeadlineHours < 0 {
-		return fmt.Errorf("tenant %s: negative spec field", s.Name)
+	if s.Images < 0 {
+		return fmt.Errorf("tenant %s: negative images", s.Name)
+	}
+	for _, f := range []struct {
+		name      string
+		v, lo, hi float64
+	}{
+		{"qps", s.QPS, MinSpecQPS, MaxSpecQPS},
+		{"offered_qps", s.OfferedQPS, MinSpecQPS, MaxSpecQPS},
+		{"slo_ms", s.SLOMS, MinSpecMS, MaxSpecMS},
+		{"deadline_ms", s.DeadlineMS, MinSpecMS, MaxSpecMS},
+		{"burst", s.Burst, 0, math.MaxFloat64},
+		{"weight", s.Weight, 0, math.MaxFloat64},
+		{"max_cost_per_hour", s.MaxCostPerHour, 0, math.MaxFloat64},
+		{"pack_deadline_hours", s.PackDeadlineHours, 0, math.MaxFloat64},
+	} {
+		switch {
+		case math.IsNaN(f.v) || math.IsInf(f.v, 0):
+			return fmt.Errorf("tenant %s: %s %v is not finite", s.Name, f.name, f.v)
+		case f.v < 0:
+			return fmt.Errorf("tenant %s: negative %s", s.Name, f.name)
+		case f.v > 0 && (f.v < f.lo || f.v > f.hi):
+			return fmt.Errorf("tenant %s: %s %v outside [%v, %v]", s.Name, f.name, f.v, f.lo, f.hi)
+		}
 	}
 	return nil
 }

@@ -47,6 +47,11 @@ go test -run - -fuzz '^FuzzParseDegree$' -fuzztime 10s ./internal/prune
 echo "== fuzz ParseConfig (10s)"
 go test -run - -fuzz '^FuzzParseConfig$' -fuzztime 10s ./internal/cloud
 
+# Tenant spec files (-tenants) parse through ParseSpecs; fuzz it (no panic;
+# an accepted spec set has finite fields, SLO() > 0 and Deadline() >= 0).
+echo "== fuzz ParseSpecs (10s)"
+go test -run - -fuzz '^FuzzParseSpecs$' -fuzztime 10s ./internal/tenant
+
 echo "== bench smoke (go test -run - -bench . -benchtime 1x)"
 mkdir -p out
 # One iteration of every benchmark: each must run and terminate at b.N = 1.
@@ -96,6 +101,12 @@ echo "== autoscale smoke (cost-accuracy loop; exits non-zero past the budget or 
 go run -race ./cmd/ccperf loadtest \
     -requests 300 -duration 2s -windows 4 \
     -queue 64 -max-batch 4 -slo 50ms -deadline 500ms -cooldown 300ms \
+    -autoscale -budget 2.7 -min-replicas 1 -max-replicas 3 \
+    -autoscale-interval 100ms -max-p99 2s
+
+echo "== tenant autoscale smoke (the same loop on a two-tenant mux; exits non-zero past the budget or p99 gate)"
+go run -race ./cmd/ccperf loadtest \
+    -tenants examples/tenants.json -duration 2s -max-batch 4 -cooldown 300ms \
     -autoscale -budget 2.7 -min-replicas 1 -max-replicas 3 \
     -autoscale-interval 100ms -max-p99 2s
 
