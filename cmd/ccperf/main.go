@@ -45,6 +45,7 @@ import (
 	"ccperf/internal/report"
 	"ccperf/internal/serving"
 	"ccperf/internal/telemetry"
+	"ccperf/internal/tenant"
 	"ccperf/internal/train"
 	"ccperf/internal/workload"
 )
@@ -570,7 +571,7 @@ func loadtestCmd(args []string) error {
 	maxP99 := fs.Duration("max-p99", 0, "exit non-zero when the measured p99 exceeds this (0 = no gate)")
 	faultSpec := faultsFlag(fs, "crash@0:2+3,err:0.02,seed=7")
 	chaos := fs.Bool("chaos", false, "inject a canned seeded chaos schedule (crash replica 0 for the middle third of the run, plus a 2% error rate)")
-	maxErrorRate := fs.Float64("max-error-rate", 1, "exit non-zero when (shed+expired+faulted)/submitted exceeds this fraction")
+	maxErrorRate := fs.Float64("max-error-rate", 1, "exit non-zero when failed/submitted (shed, expired, faulted or any other error; quota rejections excluded) exceeds this fraction")
 	tenantsSpec := fs.String("tenants", "", "tenant spec file: host N ladders with per-tenant SLOs/quotas on one shared fleet (see docs/MULTITENANT.md; each tenant replays its own offered_qps Poisson load, so -requests/-pattern are ignored)")
 	shards := fs.Int("shards", 0, "route across N sharded gateways spread over -regions (consistent hashing, health-aware regional failover; -pattern is replaced by -shape; see docs/RESILIENCE.md)")
 	regionsSpec := fs.String("regions", "us-west,us-east", "comma-separated regions hosting the shards round-robin (with -shards)")
@@ -633,41 +634,6 @@ func loadtestCmd(args []string) error {
 			traceOut:     *traceOut,
 		})
 	}
-	if *tenantsSpec != "" {
-		return tenantLoadtest(tenantLoadtestOpts{
-			specPath:     *tenantsSpec,
-			duration:     *duration,
-			seed:         *seed,
-			cooldown:     *cooldown,
-			replicas:     *replicas,
-			maxBatch:     *maxBatch,
-			batchTimeout: *batchTimeout,
-			instance:     *instance,
-			faults:       faults,
-			autoscale:    *autoscaleOn,
-			budget:       *budget,
-			minReplicas:  *minReplicas,
-			maxReplicas:  *maxReplicas,
-			interval:     *autoscaleInterval,
-			warmup:       *warmup,
-			maxP99:       *maxP99,
-			maxErrorRate: *maxErrorRate,
-			reportOut:    *reportOut,
-			metricsOut:   *metricsOut,
-			traceOut:     *traceOut,
-		})
-	}
-	trace, err := workload.Generate(workload.Config{
-		Pattern: pat, DailyTotal: *requests, Windows: *windows, Seed: *seed,
-	})
-	if err != nil {
-		return err
-	}
-	ratios, err := parseRatios(*ladderSpec)
-	if err != nil {
-		return err
-	}
-
 	opts := []ccperf.Option{
 		ccperf.WithGateway(),
 		ccperf.WithReplicas(*replicas),
@@ -678,8 +644,27 @@ func loadtestCmd(args []string) error {
 		ccperf.WithDeadline(*deadline),
 		ccperf.WithInstance(*instance),
 	}
-	if len(ratios) > 0 {
-		opts = append(opts, ccperf.WithLadder(ratios...))
+	var specs []tenant.Spec
+	var trace *workload.Trace
+	if *tenantsSpec != "" {
+		if specs, err = tenant.LoadSpecs(*tenantsSpec); err != nil {
+			return fmt.Errorf("loadtest: -tenants: %w", err)
+		}
+		opts = append(opts, ccperf.WithTenants(specs))
+	} else {
+		trace, err = workload.Generate(workload.Config{
+			Pattern: pat, DailyTotal: *requests, Windows: *windows, Seed: *seed,
+		})
+		if err != nil {
+			return err
+		}
+		ratios, err := parseRatios(*ladderSpec)
+		if err != nil {
+			return err
+		}
+		if len(ratios) > 0 {
+			opts = append(opts, ccperf.WithLadder(ratios...))
+		}
 	}
 	if len(faults.Events) > 0 {
 		opts = append(opts, ccperf.WithInjector(faults))
@@ -694,53 +679,76 @@ func loadtestCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	g := st.Gateway()
+	g, inst, resolved := st.Gateway(), st.Instance(), st.Gateway().Config()
 	st.Start()
-	rep, err := serving.RunLoad(g, serving.LoadConfig{
-		Trace:    trace,
-		Duration: *duration,
-		Seed:     *seed,
-		Deadline: *deadline,
-		Cooldown: *cooldown,
-	})
-	st.Close()
-	if err != nil {
-		return err
+	// The exit gates read the error rate and p99 of the run (of its
+	// weakest tenant, with -tenants: a mean would let a noisy neighbor
+	// hide a starved one).
+	var payload struct {
+		Report       *serving.Report   `json:"report,omitempty"`
+		TenantReport *tenant.Report    `json:"tenant_report,omitempty"`
+		Gateway      serving.Stats     `json:"gateway"`
+		Autoscale    *autoscale.Status `json:"autoscale,omitempty"`
 	}
-	resolved := g.Config()
-	inst := st.Instance()
-	fmt.Printf("trace    : %s, %d requests over %d windows in %s (peak window %d)\n",
-		pat, trace.Total(), len(trace.Windows), *duration, trace.Peak())
-	fmt.Printf("gateway  : %d initial replicas × batch ≤%d, queue %d, SLO %s, ladder %d variants\n",
-		resolved.Replicas, resolved.MaxBatch, resolved.QueueCap, resolved.SLO, len(resolved.Ladder))
+	var errRate, p99MS, wall float64
+	var text string
+	if specs != nil {
+		rep, runErr := tenant.RunLoad(g, specs, tenant.LoadConfig{
+			Duration: *duration, Seed: *seed, Cooldown: *cooldown, Scaler: st.Scaler(),
+		})
+		st.Close()
+		if runErr != nil {
+			return runErr
+		}
+		payload.TenantReport, errRate, wall, text = rep, rep.ErrorRate(), rep.WallSeconds, rep.String()
+		for i := range rep.Tenants {
+			p99MS = max(p99MS, rep.Tenants[i].P99MS)
+		}
+		fmt.Printf("fleet    : %d tenants sharing %d replicas × batch ≤%d (%s pricing each), %s replay\n",
+			len(g.Tenants()), resolved.Replicas, resolved.MaxBatch, inst.Name, *duration)
+	} else {
+		rep, runErr := serving.RunLoad(g, serving.LoadConfig{
+			Trace:    trace,
+			Duration: *duration,
+			Seed:     *seed,
+			Deadline: *deadline,
+			Cooldown: *cooldown,
+		})
+		st.Close()
+		if runErr != nil {
+			return runErr
+		}
+		payload.Report, errRate, p99MS, wall, text = rep, rep.ErrorRate(), rep.P99MS, rep.WallSeconds, rep.String()
+		fmt.Printf("trace    : %s, %d requests over %d windows in %s (peak window %d)\n",
+			pat, trace.Total(), len(trace.Windows), *duration, trace.Peak())
+		fmt.Printf("gateway  : %d initial replicas × batch ≤%d, queue %d, SLO %s, ladder %d variants\n",
+			resolved.Replicas, resolved.MaxBatch, resolved.QueueCap, resolved.SLO, len(resolved.Ladder))
+	}
 	if len(faults.Events) > 0 {
 		fmt.Printf("chaos    : %s\n", faults.String())
 	}
-	fmt.Print(rep.String())
+	fmt.Print(text)
 
-	var asStatus *autoscale.Status
+	payload.Gateway = g.Stats()
 	if as := st.Scaler(); as != nil {
 		s := as.Status()
-		asStatus = &s
+		payload.Autoscale = &s
+		rungs := make([]int, len(payload.Gateway.Tenants))
+		for i, t := range payload.Gateway.Tenants {
+			rungs[i] = t.Variant
+		}
 		fmt.Printf("autoscale: %d ticks: %d scale-outs, %d scale-ins, %d degrades, %d restores\n",
 			s.Ticks, s.ScaleOuts, s.ScaleIns, s.Degrades, s.Restores)
-		fmt.Printf("fleet    : %d replicas final (allowed %d–%d), rung %d; last: %s\n",
-			s.Replicas, *minReplicas, *maxReplicas, g.CurrentVariant(), s.LastDecision.Reason)
+		fmt.Printf("fleet    : %d replicas final (allowed %d–%d), rungs %v; last: %s\n",
+			s.Replicas, *minReplicas, *maxReplicas, rungs, s.LastDecision.Reason)
 		fmt.Printf("cost     : $%.4f realized (%.1f replica-seconds of %s; budget $%.2f/h)\n",
 			s.Cost, s.ReplicaSeconds, inst.Name, s.BudgetPerHour)
 	} else {
-		cost := inst.PricePerSecond() * rep.WallSeconds * float64(resolved.Replicas)
-		fmt.Printf("cost     : $%.4f (%d×%s for %.2f s; $%.2f/h fleet)\n",
-			cost, resolved.Replicas, inst.Name, rep.WallSeconds,
-			inst.PricePerHour*float64(resolved.Replicas))
+		fmt.Printf("cost     : $%.4f (%.1f replica-seconds of %s)\n",
+			inst.PricePerSecond()*g.ReplicaSeconds(), g.ReplicaSeconds(), inst.Name)
 	}
 
 	if *reportOut != "" {
-		payload := struct {
-			Report    *serving.Report   `json:"report"`
-			Gateway   serving.Stats     `json:"gateway"`
-			Autoscale *autoscale.Status `json:"autoscale,omitempty"`
-		}{rep, g.Stats(), asStatus}
 		if err := report.WriteEnvelopeFile(*reportOut, report.KindLoadtest, payload); err != nil {
 			return fmt.Errorf("report-out: %w", err)
 		}
@@ -751,20 +759,20 @@ func loadtestCmd(args []string) error {
 	}
 
 	// Exit gates, in order of severity: error rate, latency, budget.
-	if rate := rep.ErrorRate(); rate > *maxErrorRate {
+	if errRate > *maxErrorRate {
 		return fmt.Errorf("loadtest: error rate %.2f%% exceeds -max-error-rate %.2f%%",
-			rate*100, *maxErrorRate*100)
+			errRate*100, *maxErrorRate*100)
 	}
-	if *maxP99 > 0 && rep.P99MS > maxP99.Seconds()*1000 {
-		return fmt.Errorf("loadtest: p99 %.1fms exceeds -max-p99 %s", rep.P99MS, *maxP99)
+	if *maxP99 > 0 && p99MS > maxP99.Seconds()*1000 {
+		return fmt.Errorf("loadtest: p99 %.1fms exceeds -max-p99 %s", p99MS, *maxP99)
 	}
-	if asStatus != nil && *budget > 0 {
+	if as := payload.Autoscale; as != nil && *budget > 0 {
 		// The realized spend may not exceed the hourly budget pro-rated over
 		// the wall clock (5% slack covers the final partial tick).
-		allowed := *budget / 3600 * rep.WallSeconds * 1.05
-		if asStatus.Cost > allowed {
+		allowed := *budget / 3600 * wall * 1.05
+		if as.Cost > allowed {
 			return fmt.Errorf("loadtest: realized cost $%.4f exceeds the $%.2f/h budget over %.2fs ($%.4f allowed)",
-				asStatus.Cost, *budget, rep.WallSeconds, allowed)
+				as.Cost, *budget, wall, allowed)
 		}
 	}
 	return nil
@@ -788,7 +796,7 @@ func serveCmd(ctx context.Context, args []string) error {
 	minReplicas := fs.Int("min-replicas", 1, "autoscale floor (with -autoscale)")
 	maxReplicas := fs.Int("max-replicas", 8, "autoscale ceiling (with -autoscale)")
 	instance := fs.String("instance", "p2.xlarge", "instance type pricing each replica (with -autoscale)")
-	tenantsSpec := fs.String("tenants", "", "tenant spec file: mount the multi-tenant gateway instead (per-tenant /gateway/status rows; -autoscale adds the scaler)")
+	tenantsSpec := fs.String("tenants", "", "tenant spec file: host its tenants on the gateway instead of one -ladder model (implies -gateway; per-tenant /gateway/status rows)")
 	fs.Parse(args)
 
 	if *demo {
@@ -802,26 +810,27 @@ func serveCmd(ctx context.Context, args []string) error {
 		fmt.Fprintln(os.Stderr, "serve: demo enumeration done, metrics populated")
 	}
 	handler := telemetry.Handler(nil, nil)
-	if *tenantsSpec != "" {
-		h, err := mountTenantGateway(*model, *tenantsSpec, *instance, *replicas,
-			*autoscaleOn, *budget, *minReplicas, *maxReplicas, handler)
-		if err != nil {
-			return err
-		}
-		handler = h
-	} else if *gateway || *autoscaleOn {
-		ratios, err := parseRatios(*ladderSpec)
-		if err != nil {
-			return err
-		}
+	if *gateway || *autoscaleOn || *tenantsSpec != "" {
 		opts := []ccperf.Option{
 			ccperf.WithGateway(),
 			ccperf.WithReplicas(*replicas),
 			ccperf.WithSLO(*slo),
 			ccperf.WithInstance(*instance),
 		}
-		if len(ratios) > 0 {
-			opts = append(opts, ccperf.WithLadder(ratios...))
+		if *tenantsSpec != "" {
+			specs, err := tenant.LoadSpecs(*tenantsSpec)
+			if err != nil {
+				return fmt.Errorf("serve: -tenants: %w", err)
+			}
+			opts = append(opts, ccperf.WithTenants(specs))
+		} else {
+			ratios, err := parseRatios(*ladderSpec)
+			if err != nil {
+				return err
+			}
+			if len(ratios) > 0 {
+				opts = append(opts, ccperf.WithLadder(ratios...))
+			}
 		}
 		if *autoscaleOn {
 			opts = append(opts, ccperf.WithAutoscale(*budget, *minReplicas, *maxReplicas))
@@ -833,8 +842,9 @@ func serveCmd(ctx context.Context, args []string) error {
 		st.Start()
 		g := st.Gateway()
 		mux := http.NewServeMux()
-		mux.Handle("/infer", serving.Handler(g))
-		mux.Handle("/gateway/status", serving.Handler(g))
+		gh := serving.Handler(g)
+		mux.Handle("/infer", gh)
+		mux.Handle("/gateway/status", gh)
 		if as := st.Scaler(); as != nil {
 			mux.Handle("/autoscale/status", autoscale.Handler(as))
 			fmt.Fprintf(os.Stderr, "serve: autoscaler up (%d–%d replicas, $%.2f/h budget, %s ticks)\n",
@@ -842,8 +852,8 @@ func serveCmd(ctx context.Context, args []string) error {
 		}
 		mux.Handle("/", handler)
 		handler = mux
-		fmt.Fprintf(os.Stderr, "serve: gateway up (%d replicas, %d-variant ladder, SLO %s)\n",
-			g.Config().Replicas, len(g.Config().Ladder), g.Config().SLO)
+		fmt.Fprintf(os.Stderr, "serve: gateway up (tenants %v on %d replicas; per-tenant rows at /gateway/status)\n",
+			g.Tenants(), g.Config().Replicas)
 	}
 	fmt.Fprintf(os.Stderr, "serve: listening on %s (/metrics, /trace, /debug/pprof/, /debug/vars)\n", *addr)
 	return http.ListenAndServe(*addr, handler)

@@ -18,8 +18,8 @@ import (
 
 // Stack is the facade over the library's layers, all sharing one memoizing
 // prediction engine: the offline System (characterization) and Planner
-// (joint-space search) are always present; the online fleet (a Gateway, or
-// a TenantMux with WithTenants) and its Scaler exist when requested via
+// (joint-space search) are always present; the online Gateway (one tenant,
+// or N with WithTenants) and its Scaler exist when requested via
 // WithGateway / WithTenants / WithAutoscale.
 //
 // Open is the documented entry point; NewSystem and NewPlanner remain as
@@ -29,7 +29,6 @@ type Stack struct {
 	planner *Planner
 	inst    *cloud.Instance
 	gw      *serving.Gateway
-	tmux    *tenant.Mux
 	scaler  *autoscale.Scaler
 
 	// Transfer prediction is fitted lazily on first use; the calibration
@@ -127,10 +126,10 @@ func WithAutoscale(budgetPerHour float64, min, max int) Option {
 func WithAutoscaleInterval(d time.Duration) Option { return func(o *options) { o.interval = d } }
 
 // WithTenants hosts N tenants — each with its own pruning ladder, SLO,
-// admission quota, and fair-share weight — on one shared replica fleet
-// instead of the single-model gateway. Supersedes WithGateway: the stack
-// exposes a tenant.Mux (TenantMux) rather than a serving.Gateway. With
-// WithAutoscale, the Scaler drives the shared replica count and every
+// admission quota, and fair-share weight — on the gateway's shared
+// replica fleet instead of the one WithLadder model. Implies WithGateway.
+// Without WithAutoscale the built-in controller defends each tenant's
+// SLO; with it, the Scaler drives the shared replica count and every
 // tenant's ladder rung — which tenant degrades first is the one with the
 // largest accuracy-per-dollar slack.
 func WithTenants(specs []tenant.Spec) Option {
@@ -181,49 +180,44 @@ func Open(model string, opts ...Option) (*Stack, error) {
 		return nil, err
 	}
 	st := &Stack{sys: sys, planner: &Planner{sys: sys}, inst: inst, calibNames: o.calibration}
-	if len(o.tenants) > 0 {
-		return openTenants(st, &o)
-	}
-	if !o.gateway {
+	if !o.gateway && len(o.tenants) == 0 {
 		return st, nil
 	}
 
-	// The ladder and the scaler's profiles are both derived from the
-	// system's shared predictor, so the accuracy the gateway advertises and
-	// the accuracy the planner optimizes come from the same curves.
-	ratios := o.ratios
-	if len(ratios) == 0 {
-		ratios = serving.DefaultLadderRatios
+	// Every ladder and the scaler's profiles are derived from the system's
+	// shared predictor, so the accuracy the gateway advertises and the
+	// accuracy the planner optimizes come from the same curves.
+	buildLadder := func(ratios []float64) ([]serving.Variant, error) {
+		degrees, err := LadderDegrees(ratios)
+		if err != nil {
+			return nil, err
+		}
+		return serving.BuildLadder(context.Background(), serving.TinyNet, degrees, prune.L1Filter, sys.engine)
 	}
-	degrees, err := LadderDegrees(ratios)
-	if err != nil {
-		return nil, err
-	}
-	ladder, err := serving.BuildLadder(context.Background(), serving.TinyNet, degrees, prune.L1Filter, sys.engine)
-	if err != nil {
-		return nil, err
-	}
-
-	gw, err := serving.New(serving.Config{
-		Ladder:          ladder,
+	cfg := serving.Config{
 		Replicas:        o.initialReplicas(),
-		QueueCap:        o.queueCap,
 		MaxBatch:        o.maxBatch,
 		BatchTimeout:    o.batchTimeout,
-		SLO:             o.slo,
-		Deadline:        o.deadline,
 		WarmupDelay:     o.warmup,
 		Injector:        o.injector,
 		ExternalControl: o.autoscale,
 		Registry:        o.registry,
 		Tracer:          o.tracer,
-	})
+	}
+	if len(o.tenants) > 0 {
+		st.gw, err = tenant.NewGateway(o.tenants, buildLadder, cfg)
+	} else {
+		cfg.QueueCap, cfg.SLO, cfg.Deadline = o.queueCap, o.slo, o.deadline
+		if cfg.Ladder, err = buildLadder(o.ratios); err != nil {
+			return nil, err
+		}
+		st.gw, err = serving.New(cfg)
+	}
 	if err != nil {
 		return nil, err
 	}
-	st.gw = gw
 	if o.autoscale {
-		if err := st.openScaler(gw, gw.Config().MaxBatch, &o); err != nil {
+		if err := st.openScaler(&o); err != nil {
 			return nil, err
 		}
 	}
@@ -250,24 +244,24 @@ func (o *options) initialReplicas() int {
 	return o.replicas
 }
 
-// openScaler binds the stack's autoscale.Scaler to fleet. Each tenant's
-// rung profiles price its ladder's degrees through the shared predictor on
-// the stack's instance type, so the accuracy the fleet serves and the
-// accuracy the planner optimizes come from the same curves.
-func (st *Stack) openScaler(fleet autoscale.Fleet, maxBatch int, o *options) error {
+// openScaler binds the stack's autoscale.Scaler to the gateway. Each
+// tenant's rung profiles price its ladder's degrees through the shared
+// predictor on the stack's instance type, so the accuracy the fleet
+// serves and the accuracy the planner optimizes come from the same curves.
+func (st *Stack) openScaler(o *options) error {
 	profiles := make(map[string][]autoscale.Profile)
-	for _, name := range fleet.Tenants() {
+	for _, name := range st.gw.Tenants() {
 		var degrees []prune.Degree
-		for _, v := range fleet.Ladder(name) {
+		for _, v := range st.gw.Ladder(name) {
 			degrees = append(degrees, v.Degree)
 		}
 		var err error
-		if profiles[name], err = autoscale.BuildProfiles(context.Background(), st.sys.engine, degrees, st.inst, maxBatch); err != nil {
+		if profiles[name], err = autoscale.BuildProfiles(context.Background(), st.sys.engine, degrees, st.inst, st.gw.Config().MaxBatch); err != nil {
 			return err
 		}
 	}
 	var err error
-	st.scaler, err = autoscale.New(fleet, autoscale.Config{
+	st.scaler, err = autoscale.New(st.gw, autoscale.Config{
 		Policy: autoscale.Policy{
 			Limits: autoscale.Limits{
 				MinReplicas:         o.minReplicas,
@@ -301,55 +295,18 @@ func LadderDegrees(ratios []float64) ([]prune.Degree, error) {
 	return degrees, nil
 }
 
-// openTenants builds the multi-tenant serving stack: one mux hosting every
-// spec's private ladder, and — under WithAutoscale — the scaler with
-// per-tenant profiles derived from the shared predictor.
-func openTenants(st *Stack, o *options) (*Stack, error) {
-	buildLadder := func(ratios []float64) ([]serving.Variant, error) {
-		degrees, err := LadderDegrees(ratios)
-		if err != nil {
-			return nil, err
-		}
-		return serving.BuildLadder(context.Background(), serving.TinyNet, degrees, prune.L1Filter, st.sys.engine)
-	}
-	m, err := tenant.New(tenant.Config{
-		Specs:        o.tenants,
-		BuildLadder:  buildLadder,
-		Replicas:     o.initialReplicas(),
-		MaxBatch:     o.maxBatch,
-		BatchTimeout: o.batchTimeout,
-		WarmupDelay:  o.warmup,
-		Injector:     o.injector,
-		Registry:     o.registry,
-		Tracer:       o.tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	st.tmux = m
-	if o.autoscale {
-		if err := st.openScaler(m, m.Config().MaxBatch, o); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
 // System returns the measurement/characterization view.
 func (st *Stack) System() *System { return st.sys }
 
 // Planner returns the joint-space planning view.
 func (st *Stack) Planner() *Planner { return st.planner }
 
-// Gateway returns the online serving view (nil unless WithGateway).
+// Gateway returns the online serving view (nil unless WithGateway or
+// WithTenants).
 func (st *Stack) Gateway() *serving.Gateway { return st.gw }
 
-// TenantMux returns the multi-tenant serving front-end (nil unless
-// WithTenants).
-func (st *Stack) TenantMux() *tenant.Mux { return st.tmux }
-
-// Scaler returns the cost-accuracy control plane over the stack's fleet,
-// gateway or tenant mux (nil unless WithAutoscale).
+// Scaler returns the cost-accuracy control plane over the stack's gateway
+// (nil unless WithAutoscale).
 func (st *Stack) Scaler() *autoscale.Scaler { return st.scaler }
 
 // Predictor returns the single memoizing prediction engine every view of
@@ -386,14 +343,11 @@ func (st *Stack) Transfer(ctx context.Context) (*engine.TransferPredictor, error
 // Instance returns the cloud instance type pricing each replica.
 func (st *Stack) Instance() *cloud.Instance { return st.inst }
 
-// Start brings up the online components (the fleet, then its scaler). A
-// stack without a fleet starts nothing.
+// Start brings up the online components (the gateway, then its scaler).
+// A stack without a gateway starts nothing.
 func (st *Stack) Start() {
 	if st.gw != nil {
 		st.gw.Start()
-	}
-	if st.tmux != nil {
-		st.tmux.Start()
 	}
 	if st.scaler != nil {
 		st.scaler.Start()
@@ -401,13 +355,10 @@ func (st *Stack) Start() {
 }
 
 // Close stops the online components in reverse order (the scaler, then
-// the fleet, draining in-flight requests). Idempotent.
+// the gateway, draining in-flight requests). Idempotent.
 func (st *Stack) Close() {
 	if st.scaler != nil {
 		st.scaler.Stop()
-	}
-	if st.tmux != nil {
-		st.tmux.Stop()
 	}
 	if st.gw != nil {
 		st.gw.Stop()

@@ -120,9 +120,9 @@ func TestOpenAutoscaleStack(t *testing.T) {
 	st.Close() // idempotent
 }
 
-// TestOpenTenantsStack: WithTenants builds the multi-tenant mux (each
-// tenant with its own ladder) and, with WithAutoscale, the scaler whose
-// profiles come from the shared predictor.
+// TestOpenTenantsStack: WithTenants builds a gateway hosting each tenant
+// on its own ladder and, with WithAutoscale, the scaler whose profiles
+// come from the shared predictor.
 func TestOpenTenantsStack(t *testing.T) {
 	specs := []tenant.Spec{
 		{Name: "a", Ladder: []float64{0, 0.5}, SLOMS: 500, QPS: 50},
@@ -132,12 +132,15 @@ func TestOpenTenantsStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := st.TenantMux()
+	m := st.Gateway()
 	if m == nil {
-		t.Fatal("WithTenants must build a mux")
+		t.Fatal("WithTenants must build a gateway")
 	}
-	if st.Gateway() != nil {
-		t.Fatal("WithTenants supersedes the single-model gateway")
+	if got := m.Tenants(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("tenants = %v, want [a b]", got)
+	}
+	if !m.Config().ExternalControl {
+		t.Fatal("an autoscaled tenant gateway must disable the built-in controller")
 	}
 	sc := st.Scaler()
 	if sc == nil {

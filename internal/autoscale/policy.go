@@ -6,9 +6,9 @@
 // count (the resource configuration, priced per second like Section 4.1.2)
 // and each tenant's pruning ladder (the degree of pruning, Figures 6–8).
 //
-// One control law serves every fleet. A single gateway is a fleet of one
-// tenant (serving.DefaultTenant); a tenant mux co-locates N tenants — each
-// with its own ladder, SLO and budget share — on one shared replica pool.
+// One control law serves every fleet. A gateway hosts one tenant
+// (serving.DefaultTenant) or co-locates N — each with its own ladder, SLO
+// and budget share — on one shared replica pool.
 // The resource axis is common property, the accuracy axis is per tenant,
 // so every decision that spends or reclaims accuracy also answers whose.
 // The ordering rules are the paper's Figure 9/10 trade-off made live:

@@ -13,8 +13,8 @@ import (
 )
 
 // Fleet is what a Scaler drives: a replica pool shared by one or more
-// tenants, each serving from its own pruning ladder. A *serving.Gateway is
-// a fleet of one tenant (serving.DefaultTenant); a *tenant.Mux hosts N.
+// tenants, each serving from its own pruning ladder. A *serving.Gateway
+// hosts one tenant (serving.DefaultTenant) or N.
 type Fleet interface {
 	// Tenants names the tenants; Ladder returns one tenant's ladder.
 	Tenants() []string
@@ -352,7 +352,7 @@ func (s *Scaler) applyLocked(act Action, sig Signal) {
 	s.healthy = act.Healthy
 	s.counts[act.Verb]++
 	// The verb span opens before actuation so the fleet-side span the
-	// decision causes (serving.set_variant, tenant.set_variant) parents
+	// decision causes (serving.set_variant) parents
 	// under it — the trace tree shows which decision moved a ladder.
 	ctx := context.Background()
 	var finish telemetry.FinishFunc

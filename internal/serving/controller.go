@@ -79,10 +79,10 @@ func (p Policy) Decide(s Signal) (Action, int) {
 	return Hold, streak
 }
 
-// policy derives the Policy from the gateway config.
-func (g *Gateway) policy() Policy {
+// policy derives t's Policy from the gateway config.
+func (g *Gateway) policy(t *tenantState) Policy {
 	return Policy{
-		SLOSeconds:         g.cfg.SLO.Seconds(),
+		SLOSeconds:         t.SLO.Seconds(),
 		DegradeUtilization: g.cfg.DegradeUtilization,
 		RestoreFraction:    g.cfg.RestoreFraction,
 		HoldIntervals:      g.cfg.HoldIntervals,
@@ -104,47 +104,35 @@ func (g *Gateway) controlLoop() {
 	}
 }
 
-// controlTick evaluates one interval and applies the decision. It is the
-// unit the tests drive directly.
+// controlTick evaluates one interval and applies one decision per
+// tenant, each on the tenant's own window, queue fill and healthy streak.
+// It is the unit the tests drive directly.
 func (g *Gateway) controlTick() {
-	o := g.observe()
-	sig := Signal{P99: o.P99, Samples: o.Samples, QueueFrac: o.QueueFrac, Healthy: g.healthy}
-	action, streak := g.policy().Decide(sig)
-	g.healthy = streak
-	g.apply(action, sig)
+	for _, t := range g.tenants {
+		o := g.observe(t)
+		sig := Signal{P99: o.P99, Samples: o.Samples, QueueFrac: o.QueueFrac, Healthy: t.healthy}
+		action, streak := g.policy(t).Decide(sig)
+		t.healthy = streak
+		g.apply(t, action, sig)
+	}
 }
 
-// apply moves the pool along the ladder (clamped at the ends) and records
-// the decision: a counter per direction and one span carrying the signal
-// that drove it.
-func (g *Gateway) apply(action Action, sig Signal) {
-	cur := int(g.variant.Load())
+// apply moves t one rung along its ladder (clamped at the ends) and
+// records the decision: a counter per direction and one span carrying the
+// signal that drove it.
+func (g *Gateway) apply(t *tenantState, action Action, sig Signal) {
+	cur := t.variant.Load()
 	next := cur
 	switch action {
 	case Degrade:
-		if cur < len(g.cfg.Ladder)-1 {
-			next = cur + 1
-		}
+		next = min(cur+1, int64(len(t.Ladder)-1))
 	case Restore:
-		if cur > 0 {
-			next = cur - 1
-		}
+		next = max(cur-1, 0)
 	}
 	if next == cur {
 		return
 	}
-	g.variant.Store(int64(next))
-	g.m.variantGauge.Set(float64(next))
-	switch action {
-	case Degrade:
-		g.m.degrades.Inc()
-	case Restore:
-		g.m.restores.Inc()
-	}
-	_, finish := g.cfg.Tracer.StartSpan(context.Background(), "serving."+action.String())
-	finish(
-		telemetry.L("from", g.cfg.Ladder[cur].Degree.Label()),
-		telemetry.L("to", g.cfg.Ladder[next].Degree.Label()),
+	g.move(context.Background(), t, cur, next, "serving."+action.String(),
 		telemetry.L("p99_seconds", sig.P99),
 		telemetry.L("samples", sig.Samples),
 		telemetry.L("queue_frac", sig.QueueFrac),

@@ -12,18 +12,22 @@ import (
 )
 
 // InferRequest is the POST /infer body. Either Image (flat CHW data whose
-// length matches the gateway model's input volume) or Seed (a synthetic
+// length matches the tenant model's input volume) or Seed (a synthetic
 // deterministic image — handy for curl) must be set.
 type InferRequest struct {
-	Image []float32 `json:"image,omitempty"`
-	Seed  int64     `json:"seed,omitempty"`
-	// DeadlineMS overrides the gateway's default per-request deadline,
-	// in milliseconds from arrival (0 = use the default).
+	// Tenant names the tenant to submit as (empty = DefaultTenant).
+	Tenant string    `json:"tenant,omitempty"`
+	Image  []float32 `json:"image,omitempty"`
+	Seed   int64     `json:"seed,omitempty"`
+	// DeadlineMS overrides the tenant's per-request deadline, in
+	// milliseconds from arrival, within [0, MaxLatencyMS] (0 = use the
+	// tenant's deadline).
 	DeadlineMS float64 `json:"deadline_ms,omitempty"`
 }
 
 // InferResponse is the POST /infer reply.
 type InferResponse struct {
+	Tenant   string  `json:"tenant"`
 	ID       int64   `json:"id"`
 	Class    int     `json:"class"`
 	Variant  int     `json:"variant"`
@@ -37,12 +41,14 @@ type InferResponse struct {
 
 // Handler exposes the gateway over HTTP:
 //
-//	POST /infer           run one inference (InferRequest → InferResponse)
-//	GET  /gateway/status  Stats as JSON
+//	POST /infer           run one inference as a tenant (InferRequest → InferResponse)
+//	GET  /gateway/status  Stats, with one row per tenant, as JSON
 //
-// Shedding maps to 429 Too Many Requests, an expired deadline to 504
-// Gateway Timeout, shutdown to 503 Service Unavailable — so a load
-// balancer in front sees the standard signals.
+// Quota rejection and shedding map to 429 Too Many Requests, an unknown
+// tenant to 404 (a missing one, on a gateway without DefaultTenant, to
+// 400), an expired deadline to 504 Gateway Timeout, shutdown to 503
+// Service Unavailable — so a load balancer in front sees the standard
+// signals.
 func Handler(g *Gateway) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
@@ -55,7 +61,19 @@ func Handler(g *Gateway) http.Handler {
 			http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		shape := g.cfg.Ladder[0].Net.Input
+		t := g.tenant(req.Tenant)
+		switch {
+		case t == nil && req.Tenant == "":
+			http.Error(w, "tenant field required", http.StatusBadRequest)
+			return
+		case t == nil:
+			http.Error(w, ErrUnknownTenant.Error()+": "+req.Tenant, http.StatusNotFound)
+			return
+		case !(req.DeadlineMS >= 0 && req.DeadlineMS <= MaxLatencyMS):
+			http.Error(w, fmt.Sprintf("deadline_ms %v outside [0, %v]", req.DeadlineMS, MaxLatencyMS), http.StatusBadRequest)
+			return
+		}
+		shape := t.Ladder[0].Net.Input
 		var img *tensor.Tensor
 		switch {
 		case len(req.Image) > 0:
@@ -71,14 +89,15 @@ func Handler(g *Gateway) http.Handler {
 		if req.DeadlineMS > 0 {
 			deadline = time.Now().Add(time.Duration(req.DeadlineMS * float64(time.Millisecond)))
 		}
-		resp := g.Infer(r.Context(), img, deadline)
+		resp := g.InferAs(r.Context(), t.Name, img, deadline)
 		if resp.Err != nil {
 			http.Error(w, resp.Err.Error(), statusFor(resp.Err))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(InferResponse{
-			ID: resp.ID, Class: resp.Class,
+			Tenant: t.Name,
+			ID:     resp.ID, Class: resp.Class,
 			Variant: resp.Variant, Degree: resp.Degree, Accuracy: resp.Accuracy,
 			QueueMS:  float64(resp.Queue) / float64(time.Millisecond),
 			TotalMS:  float64(resp.Total) / float64(time.Millisecond),
@@ -97,17 +116,17 @@ func Handler(g *Gateway) http.Handler {
 
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, ErrOverloaded):
+	case errors.Is(err, ErrQuotaExceeded), errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
+	case errors.Is(err, ErrUnknownTenant):
+		return http.StatusNotFound
 	case errors.Is(err, ErrExpired):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, ErrStopped):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrFaulted):
+	default:
 		// An injected failure that exhausted its retries is a plain
 		// server-side error.
-		return http.StatusInternalServerError
-	default:
 		return http.StatusInternalServerError
 	}
 }

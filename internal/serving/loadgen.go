@@ -2,6 +2,7 @@ package serving
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -40,7 +41,10 @@ type Report struct {
 	// Faulted counts requests failed by fault injection after exhausting
 	// their retries; Retries and BreakerOpens snapshot the gateway's
 	// resilience counters at the end of the run.
-	Faulted      int   `json:"faulted"`
+	Faulted int `json:"faulted"`
+	// Other counts every failure outside those classes (ErrStopped, an
+	// unknown tenant, a wrapped error of any other kind).
+	Other        int   `json:"other_errors"`
 	Retries      int64 `json:"retries"`
 	BreakerOpens int64 `json:"breaker_opens"`
 
@@ -85,8 +89,9 @@ func RunLoad(g *Gateway, cfg LoadConfig) (*Report, error) {
 	windowSec := cfg.Duration.Seconds() / float64(len(cfg.Trace.Windows))
 	arrivals := workload.ArrivalTimes(cfg.Trace, windowSec, cfg.Seed)
 
-	shape := g.cfg.Ladder[0].Net.Input
-	rep := &Report{PerVariant: make([]int, len(g.cfg.Ladder))}
+	ladder := g.tenants[0].Ladder
+	shape := ladder[0].Net.Input
+	rep := &Report{PerVariant: make([]int, len(ladder))}
 	var mu sync.Mutex
 	latencies := make([]float64, 0, len(arrivals))
 	var wg sync.WaitGroup
@@ -153,31 +158,36 @@ func RunLoad(g *Gateway, cfg LoadConfig) (*Report, error) {
 	return rep, nil
 }
 
+// countError files one failed request under its outcome, by errors.Is so
+// a wrapped sentinel still lands in its class.
 func countError(rep *Report, err error) {
-	switch err {
-	case ErrOverloaded:
+	switch {
+	case errors.Is(err, ErrOverloaded):
 		rep.Shed++
-	case ErrExpired:
+	case errors.Is(err, ErrExpired):
 		rep.Expired++
-	case ErrFaulted:
+	case errors.Is(err, ErrFaulted):
 		rep.Faulted++
+	default:
+		rep.Other++
 	}
 }
 
-// ErrorRate is the fraction of submitted requests that were shed, expired,
-// or faulted — the loadtest CLI gates its exit status on this.
+// ErrorRate is the fraction of submitted requests that failed — shed,
+// expired, faulted or otherwise — the loadtest CLI gates its exit status
+// on this.
 func (r *Report) ErrorRate() float64 {
 	if r.Submitted == 0 {
 		return 0
 	}
-	return float64(r.Shed+r.Expired+r.Faulted) / float64(r.Submitted)
+	return float64(r.Shed+r.Expired+r.Faulted+r.Other) / float64(r.Submitted)
 }
 
 // String renders the report for the CLI.
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "requests : %d submitted, %d ok, %d shed, %d expired, %d faulted\n",
-		r.Submitted, r.OK, r.Shed, r.Expired, r.Faulted)
+	fmt.Fprintf(&b, "requests : %d submitted, %d ok, %d shed, %d expired, %d faulted, %d other errors\n",
+		r.Submitted, r.OK, r.Shed, r.Expired, r.Faulted, r.Other)
 	fmt.Fprintf(&b, "latency  : p50 %.1f ms, p95 %.1f ms, p99 %.1f ms, max %.1f ms\n",
 		r.P50MS, r.P95MS, r.P99MS, r.MaxMS)
 	fmt.Fprintf(&b, "rate     : %.0f req/s served over %.2f s\n", r.Throughput, r.WallSeconds)

@@ -14,7 +14,7 @@ const MaxWindowSamples = 1 << 16
 // Window collects completed-request latencies (seconds) between two
 // control ticks. Past MaxWindowSamples it drops samples until the next
 // Drain, so a fleet nobody controls holds a bounded window. The gateway
-// keeps one; the tenant mux keeps one per tenant.
+// keeps one per tenant.
 type Window struct {
 	mu      sync.Mutex
 	samples []float64
@@ -41,7 +41,7 @@ func (w *Window) Drain() (p99 float64, samples int) {
 // Observation is one tenant's view over a control tick: its drained
 // latency window, queue fill and rung, the SLO and cost cap it is held to,
 // and the cumulative counters a control loop turns into rates. A gateway
-// reports one row, for DefaultTenant; a tenant mux reports one per tenant.
+// reports one row per tenant.
 type Observation struct {
 	Name string `json:"name"`
 	// SLOSeconds is the tenant's p99 objective; MaxCostPerHour caps its
@@ -54,50 +54,66 @@ type Observation struct {
 	QueueFrac float64 `json:"queue_frac"`
 	Variant   int     `json:"variant"`
 	// Submitted counts every request that knocked: admitted, shed, or
-	// rejected by a tenant's quota (a gateway has none).
+	// rejected by the tenant's quota.
 	Submitted int64 `json:"submitted"`
 	Shed      int64 `json:"shed"`
 	Expired   int64 `json:"expired"`
 	Faulted   int64 `json:"faulted"`
 	Served    int64 `json:"served"`
-	// OnTime counts served requests that beat the SLO. The gateway does
-	// not count them, so its row reads 0.
+	// OnTime counts served requests that beat the SLO.
 	OnTime int64 `json:"on_time"`
 }
 
-// Tenants names the gateway's one tenant.
-func (g *Gateway) Tenants() []string { return []string{DefaultTenant} }
-
-// Ladder returns the variant ladder of DefaultTenant (or ""), nil for any
-// other tenant.
-func (g *Gateway) Ladder(tenant string) []Variant {
-	if tenant != "" && tenant != DefaultTenant {
-		return nil
+// Tenants names the gateway's tenants in scheduling order.
+func (g *Gateway) Tenants() []string {
+	out := make([]string, len(g.tenants))
+	for i, t := range g.tenants {
+		out[i] = t.Name
 	}
-	return g.cfg.Ladder
+	return out
 }
 
-// Observe drains the latency window and snapshots the gateway's counters:
-// one row, for DefaultTenant. Every control loop reads the window through
-// here — the built-in controller, the autoscaler, the shard balancer — and
-// only one of them should run per gateway, or each sees part of the
-// window's samples.
-func (g *Gateway) Observe() []Observation { return []Observation{g.observe()} }
+// Ladder returns the named tenant's variant ladder ("" is DefaultTenant),
+// nil for a tenant the gateway does not host (shared slice: do not
+// mutate).
+func (g *Gateway) Ladder(tenant string) []Variant {
+	if t := g.tenant(tenant); t != nil {
+		return t.Ladder
+	}
+	return nil
+}
 
-func (g *Gateway) observe() Observation {
-	p99, n := g.window.Drain()
-	shed := g.m.shed.Value()
+// Observe drains every tenant's latency window and snapshots its counters:
+// one row per tenant, in scheduling order. Every control loop reads the
+// windows through here — the built-in controller, the autoscaler, the
+// shard balancer — and only one of them should run per gateway, or each
+// sees part of the windows' samples.
+func (g *Gateway) Observe() []Observation {
+	out := make([]Observation, len(g.tenants))
+	for i, t := range g.tenants {
+		out[i] = g.observe(t)
+	}
+	return out
+}
+
+func (g *Gateway) observe(t *tenantState) Observation {
+	p99, n := t.window.Drain()
+	g.qMu.Lock()
+	backlog := t.backlog.len()
+	g.qMu.Unlock()
 	return Observation{
-		Name:       DefaultTenant,
-		SLOSeconds: g.cfg.SLO.Seconds(),
-		P99:        p99,
-		Samples:    n,
-		QueueFrac:  float64(len(g.queue)) / float64(g.cfg.QueueCap),
-		Variant:    int(g.variant.Load()),
-		Submitted:  g.m.admitted.Value() + shed,
-		Shed:       shed,
-		Expired:    g.m.expired.Value(),
-		Faulted:    g.m.faulted.Value(),
-		Served:     g.m.served.Value(),
+		Name:           t.Name,
+		SLOSeconds:     t.SLO.Seconds(),
+		MaxCostPerHour: t.MaxCostPerHour,
+		P99:            p99,
+		Samples:        n,
+		QueueFrac:      float64(backlog) / float64(t.QueueCap),
+		Variant:        int(t.variant.Load()),
+		Submitted:      t.m.submitted.Value(),
+		Shed:           t.m.shed.own.Value(),
+		Expired:        t.m.expired.own.Value(),
+		Faulted:        t.m.faulted.own.Value(),
+		Served:         t.m.served.own.Value(),
+		OnTime:         t.m.onTime.Value(),
 	}
 }

@@ -4,20 +4,28 @@
 // traffic, serving actually accepts requests, batches them, runs them
 // through the real internal/nn forward path, and answers under a deadline.
 //
-// Three mechanisms cooperate:
+// One gateway hosts one tenant or N (Config.Tenants): each tenant is a
+// model with its own pruning ladder, SLO, deadline, admission quota and
+// backlog, and every tenant shares the replica fleet. Four mechanisms
+// cooperate:
 //
-//   - A bounded admission queue with per-request deadlines. When the queue
-//     is full, new requests are shed immediately (ErrOverloaded) instead of
-//     growing latency without bound; requests whose deadline passes while
-//     queued are dropped before dispatch (ErrExpired).
-//   - Per-replica dynamic batchers. Each replica coalesces queued requests
-//     up to Config.MaxBatch or until Config.BatchTimeout after the first
-//     request of the batch, whichever comes first, then executes the batch
-//     through nn.(*Net).ForwardBatch — the serving-side analogue of the
-//     GPU batch saturation of Figure 5.
-//   - A load-adaptive pruning controller (controller.go) that moves the
-//     whole pool along a ladder of pre-pruned model variants when the
-//     observed p99 latency or queue pressure violates the SLO — trading
+//   - Bounded per-tenant admission with per-request deadlines. A tenant
+//     over its token-bucket quota is rejected at its own front door
+//     (ErrQuotaExceeded); a full backlog sheds new requests immediately
+//     (ErrOverloaded) instead of growing latency without bound; requests
+//     whose deadline passes while queued are dropped before dispatch
+//     (ErrExpired).
+//   - Per-replica dynamic batchers. Each replica picks the next tenant by
+//     weighted deficit round robin (FIFO with one tenant), coalesces that
+//     tenant's requests up to Config.MaxBatch or until Config.BatchTimeout
+//     after the first, then executes the batch through
+//     nn.(*Net).ForwardBatchPool — the serving-side analogue of the GPU
+//     batch saturation of Figure 5.
+//   - Circuit breakers and retries: a replica whose batches keep failing
+//     stops pulling work, and fault-injected requests retry with backoff.
+//   - A load-adaptive pruning controller (controller.go) that moves each
+//     tenant along its ladder of pre-pruned model variants when the
+//     tenant's p99 latency or queue pressure violates its SLO — trading
 //     accuracy for throughput along exactly the axis of Figures 6–8.
 //
 // Every admission decision, batch execution and ladder move is recorded in
@@ -40,7 +48,7 @@ import (
 
 // Errors returned by Submit and reported in Response.Err.
 var (
-	// ErrOverloaded means the admission queue was full (load shedding).
+	// ErrOverloaded means the tenant's backlog was full (load shedding).
 	ErrOverloaded = errors.New("serving: overloaded, request shed")
 	// ErrExpired means the request's deadline passed while it queued.
 	ErrExpired = errors.New("serving: deadline expired before dispatch")
@@ -49,30 +57,46 @@ var (
 	// ErrFaulted means fault injection failed the request and the retry
 	// budget (or shutdown) ruled out another attempt.
 	ErrFaulted = errors.New("serving: request failed by fault injection")
+	// ErrQuotaExceeded means the tenant's token-bucket admission quota was
+	// empty: the request is rejected at the tenant's own front door (HTTP
+	// 429) without touching shared capacity.
+	ErrQuotaExceeded = errors.New("serving: tenant admission quota exceeded")
+	// ErrUnknownTenant means the request named a tenant the gateway does
+	// not host.
+	ErrUnknownTenant = errors.New("serving: unknown tenant")
 )
 
 // Config parameterizes a Gateway. Zero fields take the documented defaults.
 type Config struct {
-	// Ladder is the variant ladder, least-pruned (most accurate) first.
-	// Required, at least one variant.
+	// Tenants lists the models the gateway hosts on one shared fleet, in
+	// scheduling order (names unique). Empty hosts one tenant,
+	// DefaultTenant, built from Ladder, SLO, Deadline and QueueCap; setting
+	// both Tenants and Ladder is an error.
+	Tenants []Tenant
+	// Ladder is the one tenant's variant ladder, least-pruned (most
+	// accurate) first. Required, at least one variant, when Tenants is
+	// empty.
 	Ladder []Variant
 	// Replicas is the number of batcher goroutines (default 2) — the
 	// in-process stand-in for fleet size.
 	Replicas int
-	// QueueCap bounds the admission queue (default 64·Replicas).
+	// QueueCap bounds the one tenant's backlog (default 64·Replicas).
 	QueueCap int
-	// MaxBatch caps a dynamic batch (default 8).
+	// MaxBatch caps a dynamic batch (default 8). It is also the deficit
+	// round robin's quantum per unit of tenant weight.
 	MaxBatch int
 	// BatchTimeout is the longest a batch waits to fill after its first
-	// request (default 2ms).
+	// request (default 2ms). With several tenants a short batch waits only
+	// while no other tenant has backlog.
 	BatchTimeout time.Duration
-	// Deadline is the default per-request deadline applied at admission
-	// when the caller supplies none (0 = no deadline).
+	// Deadline is the one tenant's default per-request deadline applied at
+	// admission when the caller supplies none (0 = no deadline).
 	Deadline time.Duration
-	// SLO is the p99 latency target the controller defends (default
-	// 50ms). Control is disabled when the ladder has a single variant.
+	// SLO is the one tenant's p99 latency target the controller defends
+	// (default 50ms). Control is disabled for a single-variant ladder.
 	SLO time.Duration
-	// ControlInterval is the controller tick period (default SLO, min 1ms).
+	// ControlInterval is the controller tick period (default the smallest
+	// tenant SLO, min 1ms).
 	ControlInterval time.Duration
 	// DegradeUtilization is the queue-fullness fraction that triggers
 	// degradation even before p99 catches up (default 0.75).
@@ -108,7 +132,7 @@ type Config struct {
 	// instance boot time (default 0). Replicas present at Start are warm.
 	WarmupDelay time.Duration
 	// ExternalControl disables the built-in pruning controller so an
-	// outside control plane (internal/autoscale) owns both the ladder and
+	// outside control plane (internal/autoscale) owns both the ladders and
 	// the replica count, through Observe, SetVariant and ScaleTo.
 	ExternalControl bool
 	// Registry and Tracer receive telemetry (nil = package defaults).
@@ -116,20 +140,11 @@ type Config struct {
 	Tracer   *telemetry.Tracer
 }
 
-func (c *Config) defaults() error {
-	if len(c.Ladder) == 0 {
-		return fmt.Errorf("serving: config needs a non-empty Ladder")
-	}
-	for i, v := range c.Ladder {
-		if v.Net == nil {
-			return fmt.Errorf("serving: ladder variant %d has nil net", i)
-		}
-	}
+// defaults fills the documented defaults and returns the resolved tenant
+// list (the one DefaultTenant when Tenants is empty).
+func (c *Config) defaults() ([]Tenant, error) {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 64 * c.Replicas
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
@@ -137,11 +152,40 @@ func (c *Config) defaults() error {
 	if c.BatchTimeout <= 0 {
 		c.BatchTimeout = 2 * time.Millisecond
 	}
-	if c.SLO <= 0 {
-		c.SLO = 50 * time.Millisecond
+	tenants := c.Tenants
+	switch {
+	case len(tenants) > 0 && len(c.Ladder) > 0:
+		return nil, fmt.Errorf("serving: config sets both Tenants and Ladder")
+	case len(tenants) == 0:
+		if len(c.Ladder) == 0 {
+			return nil, fmt.Errorf("serving: config needs a non-empty Ladder or Tenants")
+		}
+		if c.QueueCap <= 0 {
+			c.QueueCap = 64 * c.Replicas
+		}
+		if c.SLO <= 0 {
+			c.SLO = 50 * time.Millisecond
+		}
+		tenants = []Tenant{{Name: DefaultTenant, Ladder: c.Ladder, SLO: c.SLO, Deadline: c.Deadline, QueueCap: c.QueueCap}}
+	}
+	out := make([]Tenant, len(tenants))
+	seen := make(map[string]bool, len(tenants))
+	var minSLO time.Duration
+	for i, t := range tenants {
+		var err error
+		if out[i], err = t.withDefaults(); err != nil {
+			return nil, err
+		}
+		if seen[t.Name] {
+			return nil, fmt.Errorf("serving: duplicate tenant name %q", t.Name)
+		}
+		seen[t.Name] = true
+		if minSLO == 0 || out[i].SLO < minSLO {
+			minSLO = out[i].SLO
+		}
 	}
 	if c.ControlInterval <= 0 {
-		c.ControlInterval = c.SLO
+		c.ControlInterval = minSLO
 	}
 	if c.ControlInterval < time.Millisecond {
 		c.ControlInterval = time.Millisecond
@@ -178,7 +222,7 @@ func (c *Config) defaults() error {
 	if c.Tracer == nil {
 		c.Tracer = telemetry.DefaultTracer
 	}
-	return nil
+	return out, nil
 }
 
 // Response is one request's outcome.
@@ -200,9 +244,8 @@ type Response struct {
 	Attempts int
 }
 
-// DefaultTenant labels single-tenant traffic in the tenant-keyed stage
-// histograms: Submit tags every request with it, so StageStatsByTenant
-// stays meaningful on paths that never name a tenant.
+// DefaultTenant names the tenant of a gateway built from Config.Ladder;
+// Submit, SetVariant and /infer address it when no tenant is named.
 const DefaultTenant = "default"
 
 // request is the queued form of one submission. ctx carries the
@@ -210,6 +253,7 @@ const DefaultTenant = "default"
 // closes that span exactly once when the request is answered.
 type request struct {
 	id       int64
+	tenant   *tenantState
 	img      *tensor.Tensor
 	deadline time.Time // zero = none
 	enqueued time.Time
@@ -217,7 +261,7 @@ type request struct {
 	ctx      context.Context
 	finish   telemetry.FinishFunc
 	done     chan Response
-	// stages is the tenant-keyed stage histogram set the request reports
+	// stages is the label-keyed stage histogram set the request reports
 	// into (resolved once at admission, so the hot path never locks).
 	stages *stageSet
 }
@@ -229,6 +273,7 @@ type request struct {
 func (r *request) respond(resp Response) {
 	if r.finish != nil {
 		r.finish(
+			telemetry.L("tenant", r.tenant.Name),
 			telemetry.L("outcome", outcomeLabel(resp.Err)),
 			telemetry.L("attempts", resp.Attempts),
 		)
@@ -266,21 +311,36 @@ type replicaHandle struct {
 }
 
 // Gateway is the online inference service. Construct with New, then Start;
-// Submit/Infer from any goroutine; Stop for a graceful drain. The replica
-// set is dynamic: ScaleTo adds and retires batcher goroutines at runtime.
+// Submit/SubmitAs from any goroutine; Stop for a graceful drain. The
+// replica set is dynamic: ScaleTo adds and retires batcher goroutines at
+// runtime.
 type Gateway struct {
 	cfg     Config
-	queue   chan *request
+	tenants []*tenantState
+	byName  map[string]*tenantState
+	// labels: the gateway was built from Config.Ladder, so SubmitAs takes
+	// any other name as a stage label on DefaultTenant's traffic.
+	labels  bool
 	startAt time.Time // set by Start; injector elapsed-time origin
 
 	nextID   atomic.Int64
-	variant  atomic.Int64 // current ladder index
 	stopping atomic.Bool
 	stopCh   chan struct{}
 	started  atomic.Bool
 
 	submits sync.WaitGroup // in-flight Submit calls
 	workers sync.WaitGroup // replica + controller goroutines
+
+	// qMu guards every tenant's backlog and deficit, the DRR cursor,
+	// current (the tenant still owed service this round, or -1) and queued
+	// (the backlogs' total). arrivals is a buffered(1) wakeup: Submit
+	// nudges it, and every take re-nudges while anything stays queued, so
+	// each sleeping replica eventually drains.
+	qMu      sync.Mutex
+	cursor   int
+	current  int
+	queued   int
+	arrivals chan struct{}
 
 	// scaleMu guards the replica set and the replica-seconds integral.
 	// Stop takes it as a barrier before closing stopCh, so a concurrent
@@ -299,17 +359,13 @@ type Gateway struct {
 	execSeconds float64
 	execServed  int64
 
-	// window collects the current control interval's total latencies
-	// (seconds); whichever control loop runs drains it each tick.
-	window Window
+	// window is the first tenant's latency window (a one-tenant gateway's
+	// only one).
+	window *Window
 
-	// stageMu guards the tenant-keyed stage histogram sets; defaultStages
-	// is prefetched so the single-tenant path skips the map.
-	stageMu       sync.Mutex
-	stageSets     map[string]*stageSet
-	defaultStages *stageSet
-
-	healthy int // consecutive healthy intervals (controller goroutine only)
+	// stageMu guards the label-keyed stage histogram sets.
+	stageMu   sync.Mutex
+	stageSets map[string]*stageSet
 
 	// wsPool hands forward workspaces to batch workers. Warmed at Start so
 	// steady-state batches run the nn forward path allocation-free.
@@ -318,7 +374,7 @@ type Gateway struct {
 	m gatewayMetrics
 }
 
-// gatewayMetrics holds the resolved telemetry instruments so hot paths
+// gatewayMetrics holds the resolved fleet-wide instruments so hot paths
 // skip the registry map lookups.
 type gatewayMetrics struct {
 	admitted, shed, expired, served *telemetry.Counter
@@ -335,13 +391,18 @@ type gatewayMetrics struct {
 
 // New validates the config and builds a gateway (not yet serving).
 func New(cfg Config) (*Gateway, error) {
-	if err := cfg.defaults(); err != nil {
+	tenants, err := cfg.defaults()
+	if err != nil {
 		return nil, err
 	}
 	g := &Gateway{
-		cfg:    cfg,
-		queue:  make(chan *request, cfg.QueueCap),
-		stopCh: make(chan struct{}),
+		cfg:       cfg,
+		byName:    make(map[string]*tenantState, len(tenants)),
+		labels:    len(cfg.Tenants) == 0,
+		stopCh:    make(chan struct{}),
+		current:   -1,
+		arrivals:  make(chan struct{}, 1),
+		stageSets: make(map[string]*stageSet),
 	}
 	reg := cfg.Registry
 	g.m = gatewayMetrics{
@@ -366,10 +427,22 @@ func New(cfg Config) (*Gateway, error) {
 		forward:       reg.Histogram("serving.stage_forward_seconds", nil),
 		wsAllocsPerOp: reg.Gauge("serving.ws_allocs_per_op"),
 	}
-	g.wsPool = nn.NewWorkspacePool(cfg.ForwardWorkers)
 	g.m.variantGauge.Set(0)
-	g.stageSets = make(map[string]*stageSet)
-	g.defaultStages = g.stageSetFor(DefaultTenant)
+	for i, spec := range tenants {
+		t := &tenantState{
+			Tenant:  spec,
+			idx:     i,
+			quantum: spec.Weight * float64(cfg.MaxBatch),
+			bucket:  newBucket(spec.QPS, spec.Burst),
+			stages:  g.stageSetFor(spec.Name),
+			m:       g.newTenantMetrics(spec.Name),
+		}
+		t.m.variant.Set(0)
+		g.tenants = append(g.tenants, t)
+		g.byName[spec.Name] = t
+	}
+	g.window = &g.tenants[0].window
+	g.wsPool = nn.NewWorkspacePool(cfg.ForwardWorkers)
 	for i := 0; i < cfg.Replicas; i++ {
 		g.replicas = append(g.replicas, g.newReplicaLocked())
 	}
@@ -432,7 +505,7 @@ func (g *Gateway) ReplicaCount() int {
 // returns the resulting count. Scale-out spawns fresh batchers that begin
 // serving after Config.WarmupDelay; scale-in retires the newest replicas
 // by closing their private stop channels — each finishes its in-flight
-// batch and exits without touching the shared queue, which the surviving
+// batch and exits without touching the backlogs, which the surviving
 // replicas keep draining. Calling ScaleTo during or after Stop is a no-op
 // returning ErrStopped.
 func (g *Gateway) ScaleTo(n int) (int, error) {
@@ -473,7 +546,7 @@ func (g *Gateway) ScaleTo(n int) (int, error) {
 func (g *Gateway) Config() Config { return g.cfg }
 
 // Start launches the replica batchers and, unless Config.ExternalControl
-// hands the ladder to an outside control plane, the pruning controller.
+// hands the ladders to an outside control plane, the pruning controller.
 func (g *Gateway) Start() {
 	if !g.started.CompareAndSwap(false, true) {
 		return
@@ -487,31 +560,39 @@ func (g *Gateway) Start() {
 		go g.replica(h, 0) // replicas present at Start are warm
 	}
 	g.scaleMu.Unlock()
-	if len(g.cfg.Ladder) > 1 && !g.cfg.ExternalControl {
+	if !g.cfg.ExternalControl && g.adaptive() {
 		g.workers.Add(1)
 		go g.controlLoop()
 	}
 }
 
+// adaptive reports whether any tenant has a ladder to move along.
+func (g *Gateway) adaptive() bool {
+	for _, t := range g.tenants {
+		if len(t.Ladder) > 1 {
+			return true
+		}
+	}
+	return false
+}
+
 // warmWorkspaces pre-sizes one forward workspace per batch worker across
-// the fleet (Replicas × ForwardWorkers, each bounded by the model's peak
-// activation footprint) by pushing a zero image of the largest ladder
+// the fleet (Replicas × ForwardWorkers, each bounded by the models' peak
+// activation footprint) by pushing a zero image of every tenant's largest
 // variant through each before any traffic arrives. Steady-state batches
 // then hit only warm buckets — the ws_allocs_per_op gauge decays from the
 // warm-up cost toward zero.
 func (g *Gateway) warmWorkspaces() {
-	n := g.cfg.Replicas * g.cfg.ForwardWorkers
-	if n < 1 {
-		n = 1
-	}
-	v := &g.cfg.Ladder[0]
-	img := tensor.New(v.Net.Input.C, v.Net.Input.H, v.Net.Input.W)
+	n := max(1, g.cfg.Replicas*g.cfg.ForwardWorkers)
 	wss := make([]*nn.Workspace, 0, n)
 	// Hold all n before returning any, so the pool holds n distinct
 	// workspaces.
 	for i := 0; i < n; i++ {
 		ws := g.wsPool.Get()
-		v.Net.Forward(img, ws)
+		for _, t := range g.tenants {
+			net := t.Ladder[0].Net
+			net.Forward(tensor.New(net.Input.C, net.Input.H, net.Input.W), ws)
+		}
 		wss = append(wss, ws)
 	}
 	for _, ws := range wss {
@@ -537,25 +618,26 @@ func (g *Gateway) Stop() {
 	g.scaleMu.Unlock()
 	close(g.stopCh)
 	g.workers.Wait()
-	// Everything left in the queue was drained by the replicas. A request
-	// can still sit here if Start was never called, or if a sleeping retry
-	// re-enqueued it after the replicas finished draining; workers.Wait
-	// covers the retry goroutines, so by now the queue is quiescent.
-	for {
-		select {
-		case r := <-g.queue:
-			r.respond(Response{ID: r.id, Err: ErrStopped, Attempts: r.attempts})
-		default:
-			return
-		}
+	// Everything left in the backlogs was drained by the replicas. A
+	// request can still sit here if Start was never called, or if a
+	// sleeping retry re-enqueued it after the replicas finished draining;
+	// workers.Wait covers the retry goroutines, so by now they are
+	// quiescent.
+	var left []*request
+	g.qMu.Lock()
+	for _, t := range g.tenants {
+		left = g.popLocked(t, left, t.backlog.len())
+	}
+	g.qMu.Unlock()
+	for _, r := range left {
+		r.respond(Response{ID: r.id, Err: ErrStopped, Attempts: r.attempts})
 	}
 }
 
-// Submit enqueues one image for inference and returns a channel that will
-// receive exactly one Response. deadline zero applies Config.Deadline.
-// Shedding and shutdown are reported as errors immediately. The request
-// is attributed to DefaultTenant in the tenant-keyed stage histograms;
-// multi-tenant callers use SubmitAs.
+// Submit enqueues one image for inference as DefaultTenant and returns a
+// channel that will receive exactly one Response. deadline zero applies
+// the tenant's Deadline. Shedding and shutdown are reported as errors
+// immediately.
 //
 // ctx is the request's trace context (nil is treated as Background): a
 // serving.request span opens here and closes when the request is answered,
@@ -564,11 +646,23 @@ func (g *Gateway) Submit(ctx context.Context, img *tensor.Tensor, deadline time.
 	return g.SubmitAs(ctx, DefaultTenant, img, deadline)
 }
 
-// SubmitAs is Submit with an explicit tenant label: the request's stage
-// latencies (queue wait, batch assembly, nn forward) land in histograms
-// keyed by the tenant, so per-stage attribution survives multi-tenant
-// traffic through one gateway. An empty tenant maps to DefaultTenant.
+// SubmitAs is Submit on behalf of the named tenant ("" is DefaultTenant).
+// An unhosted name fails with ErrUnknownTenant, an empty quota with
+// ErrQuotaExceeded, a full backlog with ErrOverloaded. On a gateway built
+// from Config.Ladder any other name is a label instead: the request is
+// served as DefaultTenant and its stage latencies (queue wait, batch
+// assembly, nn forward) land in histograms keyed by the name.
 func (g *Gateway) SubmitAs(ctx context.Context, tenant string, img *tensor.Tensor, deadline time.Time) (<-chan Response, error) {
+	t := g.tenant(tenant)
+	var stages *stageSet
+	switch {
+	case t != nil:
+		stages = t.stages
+	case g.labels:
+		t, stages = g.tenants[0], g.stageSetFor(tenant)
+	default:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
+	}
 	if img == nil {
 		return nil, fmt.Errorf("serving: nil image")
 	}
@@ -581,12 +675,18 @@ func (g *Gateway) SubmitAs(ctx context.Context, tenant string, img *tensor.Tenso
 		return nil, ErrStopped
 	}
 	now := time.Now()
-	if deadline.IsZero() && g.cfg.Deadline > 0 {
-		deadline = now.Add(g.cfg.Deadline)
+	t.m.submitted.Inc()
+	if !t.bucket.allow(now) {
+		t.m.rejected.Inc()
+		return nil, fmt.Errorf("%w: tenant %s over %g req/s", ErrQuotaExceeded, t.Name, t.QPS)
+	}
+	if deadline.IsZero() && t.Deadline > 0 {
+		deadline = now.Add(t.Deadline)
 	}
 	sctx, finish := g.cfg.Tracer.StartSpan(ctx, "serving.request")
 	r := &request{
 		id:       g.nextID.Add(1),
+		tenant:   t,
 		img:      img,
 		deadline: deadline,
 		enqueued: now,
@@ -594,24 +694,30 @@ func (g *Gateway) SubmitAs(ctx context.Context, tenant string, img *tensor.Tenso
 		ctx:      sctx,
 		finish:   finish,
 		done:     make(chan Response, 1),
-		stages:   g.stageSetFor(tenant),
+		stages:   stages,
 	}
-	select {
-	case g.queue <- r:
-		g.m.admitted.Inc()
-		g.m.queueDepth.Set(float64(len(g.queue)))
-		return r.done, nil
-	default:
-		g.m.shed.Inc()
-		finish(telemetry.L("outcome", "shed"), telemetry.L("attempts", 0))
+	g.qMu.Lock()
+	ok := g.pushLocked(t, r)
+	g.qMu.Unlock()
+	if !ok {
+		t.m.shed.Inc()
+		finish(telemetry.L("tenant", t.Name), telemetry.L("outcome", "shed"), telemetry.L("attempts", 0))
 		return nil, ErrOverloaded
 	}
+	t.m.admitted.Inc()
+	g.wake()
+	return r.done, nil
 }
 
 // Infer is the synchronous form of Submit: it blocks until the response
 // (including admission errors, reported in Response.Err).
 func (g *Gateway) Infer(ctx context.Context, img *tensor.Tensor, deadline time.Time) Response {
-	ch, err := g.Submit(ctx, img, deadline)
+	return g.InferAs(ctx, DefaultTenant, img, deadline)
+}
+
+// InferAs is the synchronous form of SubmitAs.
+func (g *Gateway) InferAs(ctx context.Context, tenant string, img *tensor.Tensor, deadline time.Time) Response {
+	ch, err := g.SubmitAs(ctx, tenant, img, deadline)
 	if err != nil {
 		return Response{Err: err}
 	}
@@ -625,11 +731,11 @@ func (g *Gateway) Infer(ctx context.Context, img *tensor.Tensor, deadline time.T
 	}
 }
 
-// replica is one dynamic batcher: wait for a first request, fill the batch
-// until MaxBatch or BatchTimeout, drop expired entries, execute, respond.
-// warmup delays the first pull (a freshly scaled-out replica booting); a
-// close of h.stop (scale-in) exits after the in-flight batch, while a
-// close of g.stopCh (shutdown) drains the shared queue first.
+// replica is one dynamic batcher: take the next tenant's batch, fill it
+// (fill), execute, repeat; sleep on the arrivals nudge while every backlog
+// is empty. warmup delays the first pull (a freshly scaled-out replica
+// booting); a close of h.stop (scale-in) exits after the in-flight batch,
+// while a close of g.stopCh (shutdown) drains the backlogs first.
 func (g *Gateway) replica(h *replicaHandle, warmup time.Duration) {
 	defer g.workers.Done()
 	if warmup > 0 {
@@ -646,11 +752,20 @@ func (g *Gateway) replica(h *replicaHandle, warmup time.Duration) {
 	if !timer.Stop() {
 		<-timer.C
 	}
+	batch := make([]*request, 0, g.cfg.MaxBatch)
 	for {
+		select {
+		case <-h.stop:
+			// Retired: the surviving replicas own the backlogs. Pass on
+			// the nudge this replica may have taken on its way out.
+			g.wake()
+			return
+		default:
+		}
 		// An open breaker takes this replica out of rotation: it stops
-		// pulling from the shared queue, so traffic re-routes to healthy
-		// replicas (and, capacity now short, the pruning controller
-		// degrades the ladder if latency suffers).
+		// pulling work, so traffic re-routes to healthy replicas (and,
+		// capacity now short, the pruning controller degrades the ladder if
+		// latency suffers).
 		if wait := h.brk.waitTime(time.Now()); wait > 0 {
 			select {
 			case <-time.After(wait):
@@ -662,36 +777,48 @@ func (g *Gateway) replica(h *replicaHandle, warmup time.Duration) {
 			}
 			continue
 		}
-		var first *request
-		select {
-		case first = <-g.queue:
-		case <-h.stop:
-			return // retired: the surviving replicas own the queue
-		case <-g.stopCh:
-			g.drain(h)
-			return
-		}
-		pulledAt := time.Now() // batch-assembly stage starts here
-		batch := make([]*request, 1, g.cfg.MaxBatch)
-		batch[0] = first
-		timer.Reset(g.cfg.BatchTimeout)
-	fill:
-		for len(batch) < g.cfg.MaxBatch {
+		t, b := g.takeBatch(batch[:0])
+		if t == nil {
 			select {
-			case r := <-g.queue:
-				batch = append(batch, r)
-			case <-timer.C:
-				break fill
+			case <-g.arrivals:
+				continue
 			case <-h.stop:
-				// Flush what we have, then exit on the next iteration.
-				break fill
+				return
 			case <-g.stopCh:
-				// Flush what we have; the post-stop drain picks up the rest.
-				break fill
+				g.drain(h)
+				return
 			}
 		}
-		stopTimer(timer)
-		g.execute(h, batch, pulledAt)
+		pulledAt := time.Now() // batch-assembly stage starts here
+		b = g.fill(h, t, b, timer)
+		g.execute(h, t, b, pulledAt)
+	}
+}
+
+// fill tops a short batch up with more of t's requests until MaxBatch or
+// BatchTimeout, whichever comes first, reusing the replica's timer. It
+// stops early when another tenant has backlog, so with several tenants a
+// short batch waits only while no one else does.
+func (g *Gateway) fill(h *replicaHandle, t *tenantState, batch []*request, timer *time.Timer) []*request {
+	batch, busy := g.takeMore(t, batch)
+	if busy || len(batch) >= g.cfg.MaxBatch {
+		return batch
+	}
+	timer.Reset(g.cfg.BatchTimeout)
+	defer stopTimer(timer)
+	for {
+		select {
+		case <-g.arrivals:
+		case <-timer.C:
+			return batch
+		case <-h.stop:
+			return batch // flush what we have, then exit
+		case <-g.stopCh:
+			return batch // flush; the post-stop drain picks up the rest
+		}
+		if batch, busy = g.takeMore(t, batch); busy || len(batch) >= g.cfg.MaxBatch {
+			return batch
+		}
 	}
 }
 
@@ -705,34 +832,25 @@ func stopTimer(t *time.Timer) {
 }
 
 // drain serves whatever is still queued at shutdown, in MaxBatch groups.
-// Multiple replicas drain concurrently until the queue is empty.
+// Multiple replicas drain concurrently until every backlog is empty.
 func (g *Gateway) drain(h *replicaHandle) {
+	batch := make([]*request, 0, g.cfg.MaxBatch)
 	for {
-		pulledAt := time.Now()
-		batch := make([]*request, 0, g.cfg.MaxBatch)
-		for len(batch) < g.cfg.MaxBatch {
-			select {
-			case r := <-g.queue:
-				batch = append(batch, r)
-			default:
-				goto flush
-			}
-		}
-	flush:
-		if len(batch) == 0 {
+		t, b := g.takeBatch(batch[:0])
+		if t == nil {
 			return
 		}
-		g.execute(h, batch, pulledAt)
+		g.execute(h, t, b, time.Now())
 	}
 }
 
-// execute runs one coalesced batch: expired requests are answered with
-// ErrExpired, fault-injected ones go through the retry path, and the rest
-// run the current variant's forward path. The replica's breaker observes
+// execute runs one single-tenant batch: expired requests are answered
+// with ErrExpired, fault-injected ones go through the retry path, and the
+// rest run the tenant's current variant. The replica's breaker observes
 // the batch outcome: a crashed replica (or a batch the injector failed
-// wholesale) counts as a failure. pulledAt is when the replica received
-// the batch's first request — now−pulledAt is the batch-assembly stage.
-func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time) {
+// wholesale) counts as a failure. pulledAt is when the replica took the
+// batch's first request — now−pulledAt is the batch-assembly stage.
+func (g *Gateway) execute(h *replicaHandle, t *tenantState, batch []*request, pulledAt time.Time) {
 	now := time.Now()
 	asm := now.Sub(pulledAt).Seconds()
 	g.m.assembly.Observe(asm)
@@ -740,13 +858,12 @@ func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time
 	live := batch[:0]
 	for _, r := range batch {
 		if !r.deadline.IsZero() && now.After(r.deadline) {
-			g.m.expired.Inc()
+			t.m.expired.Inc()
 			r.respond(Response{ID: r.id, Err: ErrExpired, Attempts: r.attempts, Queue: now.Sub(r.enqueued), Total: now.Sub(r.enqueued)})
 			continue
 		}
 		live = append(live, r)
 	}
-	g.m.queueDepth.Set(float64(len(g.queue)))
 	if len(live) == 0 {
 		return
 	}
@@ -767,7 +884,7 @@ func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time
 		}
 	}
 	if len(failed) > 0 {
-		g.m.faulted.Add(int64(len(failed)))
+		t.m.faulted.Add(int64(len(failed)))
 		// A wholly failed batch counts against the breaker before any
 		// request is answered, so a caller that sees ErrFaulted also sees
 		// the breaker state that failure caused.
@@ -781,17 +898,16 @@ func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time
 			return
 		}
 	}
-	vi := int(g.variant.Load())
-	v := &g.cfg.Ladder[vi]
+	vi := int(t.variant.Load())
+	v := &t.Ladder[vi]
 	imgs := make([]*tensor.Tensor, len(live))
 	for i, r := range live {
 		imgs[i] = r.img
 	}
 	// The batch span parents under the first live request's serving.request
-	// span (satellite fix: it used to start from context.Background(), so
-	// request↔batch linkage was impossible). The nn forward pass gets its
-	// own child span so queue/assembly/forward attribution shows up in the
-	// trace tree, not just the stage histograms.
+	// span, and the nn forward pass gets its own child span, so
+	// queue/assembly/forward attribution shows up in the trace tree, not
+	// just the stage histograms.
 	parent := live[0].ctx
 	if parent == nil {
 		parent = context.Background()
@@ -801,7 +917,7 @@ func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time
 	_, finishFwd := g.cfg.Tracer.StartSpan(bctx, "serving.forward")
 	outs := v.Net.ForwardBatchPool(imgs, g.cfg.ForwardWorkers, g.wsPool)
 	fwdDone := time.Now()
-	finishFwd(telemetry.L("workers", g.cfg.ForwardWorkers))
+	finishFwd(telemetry.L("tenant", t.Name), telemetry.L("workers", g.cfg.ForwardWorkers))
 	if a, _, gets := g.wsPool.AllocStats(); gets > 0 {
 		g.m.wsAllocsPerOp.Set(float64(a) / float64(gets))
 	}
@@ -809,6 +925,7 @@ func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time
 	g.m.forward.Observe(fwd)
 	forEachStageSet(live, func(s *stageSet) { s.forward.Observe(fwd) })
 	finish(
+		telemetry.L("tenant", t.Name),
 		telemetry.L("replica", h.id),
 		telemetry.L("batch", len(live)),
 		telemetry.L("variant", v.Degree.Label()),
@@ -822,21 +939,23 @@ func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time
 	g.execMu.Unlock()
 	h.brk.observe(true, done)
 	for i, r := range live {
-		total := done.Sub(r.enqueued)
-		g.m.served.Inc()
-		g.m.queueWait.Observe(now.Sub(r.enqueued).Seconds())
-		if r.stages != nil {
-			r.stages.queueWait.Observe(now.Sub(r.enqueued).Seconds())
+		queue, total := now.Sub(r.enqueued), done.Sub(r.enqueued)
+		t.m.served.Inc()
+		if total <= t.SLO {
+			t.m.onTime.Inc()
 		}
+		g.m.queueWait.Observe(queue.Seconds())
+		r.stages.queueWait.Observe(queue.Seconds())
 		g.m.total.Observe(total.Seconds())
-		g.window.Add(total.Seconds())
+		t.m.total.Observe(total.Seconds())
+		t.window.Add(total.Seconds())
 		r.respond(Response{
 			ID:       r.id,
 			Class:    outs[i].ArgMax(),
 			Variant:  vi,
 			Degree:   v.Degree.Label(),
 			Accuracy: v.Accuracy,
-			Queue:    now.Sub(r.enqueued),
+			Queue:    queue,
 			Total:    total,
 			Batch:    len(live),
 			Attempts: r.attempts,
@@ -846,11 +965,12 @@ func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time
 
 // retryOrFail handles one fault-injected request. If the retry budget and
 // the request's deadline allow another attempt, it re-enqueues the request
-// after an exponential backoff with deterministic jitter (so seeded chaos
-// runs repeat); otherwise it answers ErrFaulted. Requests whose remaining
-// deadline budget cannot cover the backoff are expired immediately rather
-// than retried into certain failure.
+// on its tenant's backlog after an exponential backoff with deterministic
+// jitter (so seeded chaos runs repeat); otherwise it answers ErrFaulted.
+// Requests whose remaining deadline budget cannot cover the backoff are
+// expired immediately rather than retried into certain failure.
 func (g *Gateway) retryOrFail(r *request) {
+	t := r.tenant
 	fail := func(err error) {
 		age := time.Since(r.enqueued)
 		r.respond(Response{ID: r.id, Err: err, Attempts: r.attempts, Queue: age, Total: age})
@@ -862,12 +982,12 @@ func (g *Gateway) retryOrFail(r *request) {
 	backoff := g.cfg.RetryBackoff << uint(r.attempts-1)
 	backoff += time.Duration(fault.Frac(uint64(r.id)*0x9e3779b97f4a7c15+uint64(r.attempts)) * float64(backoff))
 	if !r.deadline.IsZero() && time.Now().Add(backoff).After(r.deadline) {
-		g.m.expired.Inc()
+		t.m.expired.Inc()
 		fail(ErrExpired)
 		return
 	}
 	r.attempts++
-	g.m.retries.Inc()
+	t.m.retries.Inc()
 	// Registered in g.workers: the caller is a replica goroutine (itself
 	// counted), so the group can't hit zero concurrently with this Add,
 	// and Stop's workers.Wait covers sleeping retries.
@@ -879,18 +999,22 @@ func (g *Gateway) retryOrFail(r *request) {
 			fail(ErrStopped)
 			return
 		}
-		select {
-		case g.queue <- r:
-			g.m.queueDepth.Set(float64(len(g.queue)))
-		default:
-			g.m.shed.Inc()
+		g.qMu.Lock()
+		ok := g.pushLocked(t, r)
+		g.qMu.Unlock()
+		if !ok {
+			t.m.shed.Inc()
 			fail(ErrOverloaded)
+			return
 		}
+		g.wake()
 	}()
 }
 
 // Stats is a point-in-time view of the gateway's counters, for /status and
-// the loadtest report.
+// the loadtest report. The counters are fleet-wide sums over the tenants;
+// Variant, Degree and Accuracy describe the first tenant's rung (a
+// one-tenant gateway's only one), and Tenants carries every tenant's row.
 type Stats struct {
 	Variant  int     `json:"variant"`
 	Degree   string  `json:"degree"`
@@ -918,15 +1042,14 @@ type Stats struct {
 	// forward workspaces, total workspace checkouts, and their ratio. The
 	// count plateaus after warm-up — a growing ratio means the
 	// zero-allocation steady state is broken.
-	WsAllocs      uint64  `json:"ws_allocs"`
-	WsGets        uint64  `json:"ws_gets"`
-	WsAllocsPerOp float64 `json:"ws_allocs_per_op"`
+	WsAllocs      uint64        `json:"ws_allocs"`
+	WsGets        uint64        `json:"ws_gets"`
+	WsAllocsPerOp float64       `json:"ws_allocs_per_op"`
+	Tenants       []TenantStats `json:"tenants"`
 }
 
 // Stats snapshots the gateway.
 func (g *Gateway) Stats() Stats {
-	vi := int(g.variant.Load())
-	v := g.cfg.Ladder[vi]
 	open := 0
 	g.scaleMu.Lock()
 	states := make([]string, len(g.replicas))
@@ -948,14 +1071,23 @@ func (g *Gateway) Stats() Stats {
 	if wsGets > 0 {
 		wsPerOp = float64(wsAllocs) / float64(wsGets)
 	}
+	rows := make([]TenantStats, len(g.tenants))
+	queueCap := 0
+	for i, t := range g.tenants {
+		rows[i] = g.TenantStats(t.Name)
+		queueCap += t.QueueCap
+	}
+	g.qMu.Lock()
+	queued := g.queued
+	g.qMu.Unlock()
 	return Stats{
-		Variant:        vi,
-		Degree:         v.Degree.Label(),
-		Accuracy:       v.Accuracy,
+		Variant:        rows[0].Variant,
+		Degree:         rows[0].Degree,
+		Accuracy:       rows[0].Accuracy,
 		Replicas:       replicas,
 		ReplicaSeconds: repSec,
-		QueueDepth:     len(g.queue),
-		QueueCap:       g.cfg.QueueCap,
+		QueueDepth:     queued,
+		QueueCap:       queueCap,
 		Admitted:       g.m.admitted.Value(),
 		Served:         g.m.served.Value(),
 		Shed:           g.m.shed.Value(),
@@ -971,57 +1103,63 @@ func (g *Gateway) Stats() Stats {
 		WsAllocs:       wsAllocs,
 		WsGets:         wsGets,
 		WsAllocsPerOp:  wsPerOp,
+		Tenants:        rows,
 	}
 }
 
-// CurrentVariant returns the ladder index requests are being served at.
-func (g *Gateway) CurrentVariant() int { return int(g.variant.Load()) }
+// CurrentVariant returns the ladder index the first tenant (a one-tenant
+// gateway's only one) is being served at.
+func (g *Gateway) CurrentVariant() int { return int(g.tenants[0].variant.Load()) }
 
-// SetVariant moves the ladder to rung target (clamped to the ladder ends)
-// and returns the rung now in effect. tenant must be DefaultTenant ("" is
-// DefaultTenant, as in SubmitAs). Each rung crossed counts as one degrade
-// or restore in the gateway's counters, so an external controller jumping
-// several rungs stays comparable with the built-in one-step controller.
-// Safe from any goroutine.
+// SetVariant moves the named tenant's ladder ("" is DefaultTenant) to
+// rung target (clamped to the ladder ends) and returns the rung now in
+// effect. Each rung crossed counts as one degrade or restore, so an
+// external controller jumping several rungs stays comparable with the
+// built-in one-step controller. Safe from any goroutine.
 //
 // ctx is the caller's trace context (nil = Background): an external
 // control plane passes its decision span's context so the
 // serving.set_variant span links to the verb that caused it.
 func (g *Gateway) SetVariant(ctx context.Context, tenant string, target int) (int, error) {
-	if tenant != "" && tenant != DefaultTenant {
-		return 0, fmt.Errorf("serving: unknown tenant %q", tenant)
+	t := g.tenant(tenant)
+	if t == nil {
+		return 0, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if target < 0 {
-		target = 0
-	}
-	if last := len(g.cfg.Ladder) - 1; target > last {
-		target = last
-	}
+	target = min(max(target, 0), len(t.Ladder)-1)
 	for {
-		cur := g.variant.Load()
-		next := int64(target)
-		if next == cur {
+		cur := t.variant.Load()
+		if cur == int64(target) || g.move(ctx, t, cur, int64(target), "serving.set_variant") {
 			return target, nil
 		}
-		if !g.variant.CompareAndSwap(cur, next) {
-			continue
-		}
-		g.m.variantGauge.Set(float64(next))
-		if steps := next - cur; steps > 0 {
-			g.m.degrades.Add(steps)
-		} else {
-			g.m.restores.Add(-steps)
-		}
-		_, finish := g.cfg.Tracer.StartSpan(ctx, "serving.set_variant")
-		finish(
-			telemetry.L("from", g.cfg.Ladder[cur].Degree.Label()),
-			telemetry.L("to", g.cfg.Ladder[next].Degree.Label()),
-		)
-		return target, nil
 	}
+}
+
+// move swaps t's rung from cur to next (false if another move got there
+// first), counts the rungs crossed, and records the move as one span
+// named span with the tenant, the two degrees and any extra labels.
+func (g *Gateway) move(ctx context.Context, t *tenantState, cur, next int64, span string, extra ...telemetry.Label) bool {
+	if !t.variant.CompareAndSwap(cur, next) {
+		return false
+	}
+	t.m.variant.Set(float64(next))
+	if t.idx == 0 {
+		g.m.variantGauge.Set(float64(next))
+	}
+	if steps := next - cur; steps > 0 {
+		t.m.degrades.Add(steps)
+	} else {
+		t.m.restores.Add(-steps)
+	}
+	_, finish := g.cfg.Tracer.StartSpan(ctx, span)
+	finish(append([]telemetry.Label{
+		telemetry.L("tenant", t.Name),
+		telemetry.L("from", t.Ladder[cur].Degree.Label()),
+		telemetry.L("to", t.Ladder[next].Degree.Label()),
+	}, extra...)...)
+	return true
 }
 
 // StageSummary is one pipeline stage's latency distribution, in
@@ -1045,35 +1183,32 @@ type Stages struct {
 	NNForward     StageSummary `json:"nn_forward"`
 }
 
-// stageSet is one tenant's keyed stage histograms. Requests resolve their
-// set once at admission; batch stages are observed once per distinct
-// tenant present in the batch.
+// stageSet is one label's stage histograms. Requests resolve their set
+// once at admission; batch stages are observed once per distinct set
+// present in the batch.
 type stageSet struct {
 	queueWait, assembly, forward *telemetry.Histogram
 }
 
-// stageSetFor returns (lazily creating) the tenant's stage histogram set.
-// The default tenant's set is prefetched so single-tenant traffic skips
-// the lock after construction.
-func (g *Gateway) stageSetFor(tenant string) *stageSet {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	if tenant == DefaultTenant && g.defaultStages != nil {
-		return g.defaultStages
+// stageSetFor returns (lazily creating) the label's stage histogram set.
+// Each tenant resolves its own set at New, so only SubmitAs labels on a
+// one-tenant gateway take the lock on the request path.
+func (g *Gateway) stageSetFor(label string) *stageSet {
+	if label == "" {
+		label = DefaultTenant
 	}
 	g.stageMu.Lock()
 	defer g.stageMu.Unlock()
-	if s, ok := g.stageSets[tenant]; ok {
+	if s, ok := g.stageSets[label]; ok {
 		return s
 	}
 	reg := g.cfg.Registry
 	s := &stageSet{
-		queueWait: reg.Histogram("serving.queue_seconds."+tenant, nil),
-		assembly:  reg.Histogram("serving.stage_assembly_seconds."+tenant, nil),
-		forward:   reg.Histogram("serving.stage_forward_seconds."+tenant, nil),
+		queueWait: reg.Histogram("serving.queue_seconds."+label, nil),
+		assembly:  reg.Histogram("serving.stage_assembly_seconds."+label, nil),
+		forward:   reg.Histogram("serving.stage_forward_seconds."+label, nil),
 	}
-	g.stageSets[tenant] = s
+	g.stageSets[label] = s
 	return s
 }
 
@@ -1082,9 +1217,6 @@ func (g *Gateway) stageSetFor(tenant string) *stageSet {
 // compares).
 func forEachStageSet(reqs []*request, fn func(*stageSet)) {
 	for i, r := range reqs {
-		if r.stages == nil {
-			continue
-		}
 		dup := false
 		for _, prev := range reqs[:i] {
 			if prev.stages == r.stages {
@@ -1099,7 +1231,7 @@ func forEachStageSet(reqs []*request, fn func(*stageSet)) {
 }
 
 // StageStats summarizes the per-stage latency histograms across all
-// tenants (the aggregate the single-tenant report always carried).
+// tenants.
 func (g *Gateway) StageStats() Stages {
 	return Stages{
 		QueueWait:     SummarizeStage(g.m.queueWait),
@@ -1108,14 +1240,14 @@ func (g *Gateway) StageStats() Stages {
 	}
 }
 
-// StageStatsByTenant summarizes the stage histograms keyed by tenant
-// label. Single-tenant traffic appears under DefaultTenant.
+// StageStatsByTenant summarizes the stage histograms keyed by tenant (and
+// by SubmitAs label on a one-tenant gateway).
 func (g *Gateway) StageStatsByTenant() map[string]Stages {
 	g.stageMu.Lock()
 	defer g.stageMu.Unlock()
 	out := make(map[string]Stages, len(g.stageSets))
-	for tenant, s := range g.stageSets {
-		out[tenant] = Stages{
+	for label, s := range g.stageSets {
+		out[label] = Stages{
 			QueueWait:     SummarizeStage(s.queueWait),
 			BatchAssembly: SummarizeStage(s.assembly),
 			NNForward:     SummarizeStage(s.forward),
@@ -1125,7 +1257,7 @@ func (g *Gateway) StageStatsByTenant() map[string]Stages {
 }
 
 // SummarizeStage folds one stage histogram (recorded in seconds) into a
-// millisecond StageSummary — shared with the tenant mux's keyed stages.
+// millisecond StageSummary.
 func SummarizeStage(h *telemetry.Histogram) StageSummary {
 	s := h.Snapshot()
 	const ms = 1e3 // histograms record seconds
@@ -1141,7 +1273,7 @@ func SummarizeStage(h *telemetry.Histogram) StageSummary {
 // ExecStats reports the cumulative served-request count and batch
 // execution busy-time across all replicas. Because each replica executes
 // serially, Δserved/Δseconds between two calls estimates the requests per
-// busy-second one replica sustains at the current ladder rung — the
+// busy-second one replica sustains at the current ladder rungs — the
 // capacity signal the autoscaler feeds its policy.
 func (g *Gateway) ExecStats() (served int64, execSeconds float64) {
 	g.execMu.Lock()

@@ -50,16 +50,15 @@ func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 		// nothing — degrading B is never worth it.
 		{Name: "b", Ladder: []float64{0, 0.9}, SLOMS: 500, QPS: 20, OfferedQPS: 8},
 	}
-	m := testMux(t, Config{
-		Specs:    specs,
+	g := testGateway(t, specs, serving.Config{
 		Replicas: 1,
 		MaxBatch: 2,
 	})
 	profiles := map[string][]autoscale.Profile{
-		"a": profilesFromLadder(m.Ladder("a"), []float64{1, 1.6, 2.5}),
-		"b": profilesFromLadder(m.Ladder("b"), []float64{1, 1}),
+		"a": profilesFromLadder(g.Ladder("a"), []float64{1, 1.6, 2.5}),
+		"b": profilesFromLadder(g.Ladder("b"), []float64{1, 1}),
 	}
-	sc, err := autoscale.New(m, autoscale.Config{
+	sc, err := autoscale.New(g, autoscale.Config{
 		Policy: autoscale.Policy{
 			// MaxReplicas = 1 closes the scale-out escape hatch: capacity
 			// pressure must be paid in accuracy, exposing degrade order.
@@ -74,16 +73,16 @@ func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m.Start()
+	g.Start()
 	sc.Start()
-	rep, runErr := RunLoad(m, LoadConfig{
+	rep, runErr := RunLoad(g, specs, LoadConfig{
 		Duration: 1200 * time.Millisecond,
 		Seed:     42,
 		Cooldown: 100 * time.Millisecond,
 		Scaler:   sc,
 	})
 	sc.Stop()
-	m.Stop()
+	g.Stop()
 	if runErr != nil {
 		t.Fatal(runErr)
 	}

@@ -15,78 +15,78 @@ import (
 	"ccperf/internal/tensor"
 )
 
-// testMux builds a mux with an isolated registry/tracer and a short demo
-// ladder per tenant (override via cfg.BuildLadder).
-func testMux(t testing.TB, cfg Config) *Mux {
+// testGateway builds a gateway hosting specs with an isolated registry
+// and tracer and a short demo ladder per tenant (0, 0.9 unless the spec
+// names one). The built-in controller is off: these tests move the
+// ladders themselves, or drive an autoscale.Scaler.
+func testGateway(t testing.TB, specs []Spec, cfg serving.Config) *serving.Gateway {
 	t.Helper()
-	if cfg.BuildLadder == nil {
-		cfg.BuildLadder = func(ratios []float64) ([]serving.Variant, error) {
-			if len(ratios) == 0 {
-				ratios = []float64{0, 0.9}
-			}
-			return serving.DemoLadder(ratios)
-		}
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
 	}
 	if cfg.Tracer == nil {
 		cfg.Tracer = telemetry.NewTracer(256)
 	}
-	m, err := New(cfg)
+	cfg.ExternalControl = true
+	g, err := NewGateway(specs, func(ratios []float64) ([]serving.Variant, error) {
+		if len(ratios) == 0 {
+			ratios = []float64{0, 0.9}
+		}
+		return serving.DemoLadder(ratios)
+	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return g
 }
 
 func testTenantImage(seed int64) *tensor.Tensor {
 	return serving.SyntheticImage(serving.TinyShape.C, serving.TinyShape.H, serving.TinyShape.W, seed)
 }
 
-func TestMuxConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+func TestNewGatewayValidation(t *testing.T) {
+	if _, err := NewGateway(nil, nil, serving.Config{}); err == nil {
 		t.Fatal("expected error for config without specs")
 	}
-	if _, err := New(Config{Specs: []Spec{{Name: "a"}, {Name: "a"}}}); err == nil {
+	if _, err := NewGateway([]Spec{{Name: "a"}, {Name: "a"}}, nil, serving.Config{}); err == nil {
 		t.Fatal("expected duplicate-tenant error")
 	}
 }
 
 func TestInferAsServesEachTenantItsOwnLadder(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{
+	g := testGateway(t, []Spec{
 		{Name: "a", Ladder: []float64{0, 0.9}},
 		{Name: "b", Ladder: []float64{0, 0.5, 0.9}},
-	}})
-	m.Start()
-	defer m.Stop()
+	}, serving.Config{})
+	g.Start()
+	defer g.Stop()
 
-	ra := m.InferAs(context.Background(), "a", testTenantImage(1), time.Time{})
+	ra := g.InferAs(context.Background(), "a", testTenantImage(1), time.Time{})
 	if ra.Err != nil {
 		t.Fatal(ra.Err)
 	}
 	if ra.Variant != 0 || ra.Accuracy <= 0 {
 		t.Fatalf("tenant a: variant=%d accuracy=%v", ra.Variant, ra.Accuracy)
 	}
-	if got := len(m.Ladder("b")); got != 3 {
+	if got := len(g.Ladder("b")); got != 3 {
 		t.Fatalf("tenant b ladder length %d, want 3", got)
 	}
-	rb := m.InferAs(context.Background(), "b", testTenantImage(2), time.Time{})
+	rb := g.InferAs(context.Background(), "b", testTenantImage(2), time.Time{})
 	if rb.Err != nil {
 		t.Fatal(rb.Err)
 	}
-	sa := m.TenantStats("a")
-	sb := m.TenantStats("b")
+	sa := g.TenantStats("a")
+	sb := g.TenantStats("b")
 	if sa.Served != 1 || sb.Served != 1 {
 		t.Fatalf("served a=%d b=%d, want 1 each", sa.Served, sb.Served)
 	}
 }
 
 func TestSubmitAsUnknownTenant(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{{Name: "a"}}})
-	m.Start()
-	defer m.Stop()
-	if _, err := m.SubmitAs(context.Background(), "ghost", testTenantImage(1), time.Time{}); !errors.Is(err, ErrUnknownTenant) {
+	g := testGateway(t, []Spec{{Name: "a"}}, serving.Config{})
+	g.Start()
+	defer g.Stop()
+	if _, err := g.SubmitAs(context.Background(), "ghost", testTenantImage(1), time.Time{}); !errors.Is(err, serving.ErrUnknownTenant) {
 		t.Fatalf("err = %v, want ErrUnknownTenant", err)
 	}
 }
@@ -96,18 +96,18 @@ func TestSubmitAsUnknownTenant(t *testing.T) {
 // in that tenant's 429 ledger (Rejected), and never leaks into another
 // tenant's accounting or the error outcomes.
 func TestQuotaRejectionAccounting(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{
+	g := testGateway(t, []Spec{
 		{Name: "capped", QPS: 5, Burst: 5},
 		{Name: "open"},
-	}})
-	m.Start()
-	defer m.Stop()
+	}, serving.Config{})
+	g.Start()
+	defer g.Stop()
 
 	var rejected, admitted int
 	for i := 0; i < 20; i++ {
-		ch, err := m.SubmitAs(context.Background(), "capped", testTenantImage(int64(i)), time.Time{})
+		ch, err := g.SubmitAs(context.Background(), "capped", testTenantImage(int64(i)), time.Time{})
 		switch {
-		case errors.Is(err, ErrQuotaExceeded):
+		case errors.Is(err, serving.ErrQuotaExceeded):
 			rejected++
 		case err != nil:
 			t.Fatalf("unexpected submit error: %v", err)
@@ -122,7 +122,7 @@ func TestQuotaRejectionAccounting(t *testing.T) {
 	if admitted == 0 {
 		t.Fatal("the burst should admit some requests")
 	}
-	st := m.TenantStats("capped")
+	st := g.TenantStats("capped")
 	if st.Rejected != int64(rejected) {
 		t.Fatalf("tenant ledger counts %d rejections, loadgen saw %d", st.Rejected, rejected)
 	}
@@ -132,7 +132,7 @@ func TestQuotaRejectionAccounting(t *testing.T) {
 	if st.Shed != 0 || st.Expired != 0 || st.Faulted != 0 {
 		t.Fatalf("quota rejections must not count as errors: %+v", st)
 	}
-	if other := m.TenantStats("open"); other.Rejected != 0 || other.Submitted != 0 {
+	if other := g.TenantStats("open"); other.Rejected != 0 || other.Submitted != 0 {
 		t.Fatalf("open tenant's ledger polluted: %+v", other)
 	}
 }
@@ -145,16 +145,15 @@ func TestQuotaRejectionAccounting(t *testing.T) {
 // tenant would see multi-second waits either way).
 func TestFairnessUnderFlood(t *testing.T) {
 	const quietSLO = 500 * time.Millisecond
-	m := testMux(t, Config{
-		Specs: []Spec{
-			{Name: "noisy", Ladder: []float64{0}, QueueCap: 64},
-			{Name: "quiet", Ladder: []float64{0}, SLOMS: 500},
-		},
+	g := testGateway(t, []Spec{
+		{Name: "noisy", Ladder: []float64{0}, QueueCap: 64},
+		{Name: "quiet", Ladder: []float64{0}, SLOMS: 500},
+	}, serving.Config{
 		Replicas: 1,
 		MaxBatch: 2,
 	})
-	m.Start()
-	defer m.Stop()
+	g.Start()
+	defer g.Stop()
 
 	stop := make(chan struct{})
 	var floodSubmitted atomic.Int64
@@ -169,7 +168,7 @@ func TestFairnessUnderFlood(t *testing.T) {
 					return
 				default:
 				}
-				ch, err := m.SubmitAs(context.Background(), "noisy", testTenantImage(i), time.Time{})
+				ch, err := g.SubmitAs(context.Background(), "noisy", testTenantImage(i), time.Time{})
 				if err == nil {
 					floodSubmitted.Add(1)
 					go func() { <-ch }()
@@ -189,7 +188,7 @@ func TestFairnessUnderFlood(t *testing.T) {
 	latencies := make([]float64, 0, quietN)
 	quietErrs := 0
 	for i := 0; i < quietN; i++ {
-		resp := m.InferAs(context.Background(), "quiet", testTenantImage(int64(i)), time.Time{})
+		resp := g.InferAs(context.Background(), "quiet", testTenantImage(int64(i)), time.Time{})
 		if resp.Err != nil {
 			quietErrs++
 			continue
@@ -213,17 +212,16 @@ func TestFairnessUnderFlood(t *testing.T) {
 	}
 	// The flood must have actually contended for the whole window: the
 	// noisy tenant out-served the quiet one, yet the quiet one stayed fast.
-	if st := m.TenantStats("noisy"); st.Served <= int64(quietN) {
+	if st := g.TenantStats("noisy"); st.Served <= int64(quietN) {
 		t.Fatalf("noisy tenant served only %d requests; flood too weak to prove fairness", st.Served)
 	}
 }
 
 func TestWeightedQuantumFavorsHeavyTenant(t *testing.T) {
-	m := testMux(t, Config{
-		Specs: []Spec{
-			{Name: "heavy", Ladder: []float64{0}, Weight: 4},
-			{Name: "light", Ladder: []float64{0}, Weight: 1},
-		},
+	g := testGateway(t, []Spec{
+		{Name: "heavy", Ladder: []float64{0}, Weight: 4},
+		{Name: "light", Ladder: []float64{0}, Weight: 1},
+	}, serving.Config{
 		Replicas: 1,
 		MaxBatch: 2,
 	})
@@ -235,15 +233,15 @@ func TestWeightedQuantumFavorsHeavyTenant(t *testing.T) {
 	const prefill = 60
 	for _, name := range []string{"heavy", "light"} {
 		for i := int64(0); i < prefill; i++ {
-			ch, err := m.SubmitAs(context.Background(), name, testTenantImage(i), time.Time{})
+			ch, err := g.SubmitAs(context.Background(), name, testTenantImage(i), time.Time{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			go func() { <-ch }()
 		}
 	}
-	m.Start()
-	defer m.Stop()
+	g.Start()
+	defer g.Stop()
 
 	// Snapshot mid-drain: served ≤ 30 < prefill on each side, so both
 	// backlogs were non-empty for every round counted. Stop then drains
@@ -252,78 +250,78 @@ func TestWeightedQuantumFavorsHeavyTenant(t *testing.T) {
 	// between the two reads can only widen the asserted gap.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		if m.TenantStats("heavy").Served+m.TenantStats("light").Served >= 30 {
+		if g.TenantStats("heavy").Served+g.TenantStats("light").Served >= 30 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("served only %d of %d prefilled requests in 20s",
-				m.TenantStats("heavy").Served+m.TenantStats("light").Served, 2*prefill)
+				g.TenantStats("heavy").Served+g.TenantStats("light").Served, 2*prefill)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	light := m.TenantStats("light").Served
-	heavy := m.TenantStats("heavy").Served
+	light := g.TenantStats("light").Served
+	heavy := g.TenantStats("heavy").Served
 	if heavy <= light {
 		t.Fatalf("weight-4 tenant served %d ≤ weight-1 tenant's %d under contention", heavy, light)
 	}
 }
 
 func TestSetVariantCountsDegradesAndRestores(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{{Name: "a", Ladder: []float64{0, 0.5, 0.9}}}})
-	m.Start()
-	defer m.Stop()
+	g := testGateway(t, []Spec{{Name: "a", Ladder: []float64{0, 0.5, 0.9}}}, serving.Config{})
+	g.Start()
+	defer g.Stop()
 
 	ctx := context.Background()
-	if _, err := m.SetVariant(ctx, "a", 2); err != nil {
+	if _, err := g.SetVariant(ctx, "a", 2); err != nil {
 		t.Fatal(err)
 	}
-	if v := m.CurrentVariant("a"); v != 2 {
+	if v := g.TenantStats("a").Variant; v != 2 {
 		t.Fatalf("variant = %d, want 2", v)
 	}
-	if _, err := m.SetVariant(ctx, "a", 0); err != nil {
+	if _, err := g.SetVariant(ctx, "a", 0); err != nil {
 		t.Fatal(err)
 	}
-	st := m.TenantStats("a")
+	st := g.TenantStats("a")
 	if st.Degrades != 2 || st.Restores != 2 {
 		t.Fatalf("degrades=%d restores=%d, want 2/2 (two rungs each way)", st.Degrades, st.Restores)
 	}
-	if v, err := m.SetVariant(ctx, "a", 99); err != nil || v != 2 {
+	if v, err := g.SetVariant(ctx, "a", 99); err != nil || v != 2 {
 		t.Fatalf("SetVariant clamps to the ladder bottom: got %d, %v", v, err)
 	}
-	if _, err := m.SetVariant(ctx, "ghost", 0); !errors.Is(err, ErrUnknownTenant) {
+	if _, err := g.SetVariant(ctx, "ghost", 0); !errors.Is(err, serving.ErrUnknownTenant) {
 		t.Fatalf("err = %v, want ErrUnknownTenant", err)
 	}
 }
 
 func TestScaleToBounds(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{{Name: "a"}}, Replicas: 2})
-	m.Start()
-	defer m.Stop()
-	if n, err := m.ScaleTo(4); err != nil || n != 4 {
+	g := testGateway(t, []Spec{{Name: "a"}}, serving.Config{Replicas: 2})
+	g.Start()
+	defer g.Stop()
+	if n, err := g.ScaleTo(4); err != nil || n != 4 {
 		t.Fatalf("ScaleTo(4) = %d, %v", n, err)
 	}
-	if n, err := m.ScaleTo(1); err != nil || n != 1 {
+	if n, err := g.ScaleTo(1); err != nil || n != 1 {
 		t.Fatalf("ScaleTo(1) = %d, %v", n, err)
 	}
-	if n, err := m.ScaleTo(0); err != nil || n != 1 {
+	if n, err := g.ScaleTo(0); err != nil || n != 1 {
 		t.Fatalf("ScaleTo clamps at one replica: got %d, %v", n, err)
 	}
 	// The fleet still serves after scaling both ways.
-	if resp := m.InferAs(context.Background(), "a", testTenantImage(1), time.Time{}); resp.Err != nil {
+	if resp := g.InferAs(context.Background(), "a", testTenantImage(1), time.Time{}); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
 }
 
 func TestStageStatsKeyedByTenant(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{{Name: "a"}, {Name: "b"}}})
-	m.Start()
-	defer m.Stop()
+	g := testGateway(t, []Spec{{Name: "a"}, {Name: "b"}}, serving.Config{})
+	g.Start()
+	defer g.Stop()
 	for i := 0; i < 4; i++ {
-		if resp := m.InferAs(context.Background(), "a", testTenantImage(int64(i)), time.Time{}); resp.Err != nil {
+		if resp := g.InferAs(context.Background(), "a", testTenantImage(int64(i)), time.Time{}); resp.Err != nil {
 			t.Fatal(resp.Err)
 		}
 	}
-	st := m.StageStatsByTenant()
+	st := g.StageStatsByTenant()
 	if st["a"].NNForward.Count == 0 || st["a"].QueueWait.Count == 0 {
 		t.Fatalf("tenant a stages empty: %+v", st["a"])
 	}
@@ -333,15 +331,15 @@ func TestStageStatsKeyedByTenant(t *testing.T) {
 }
 
 func TestObserveDrainsWindow(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{{Name: "b", SLOMS: 80, MaxCostPerHour: 2}, {Name: "a", SLOMS: 60_000}}})
-	m.Start()
-	defer m.Stop()
+	g := testGateway(t, []Spec{{Name: "b", SLOMS: 80, MaxCostPerHour: 2}, {Name: "a", SLOMS: 60_000}}, serving.Config{})
+	g.Start()
+	defer g.Stop()
 	for i := 0; i < 3; i++ {
-		if resp := m.InferAs(context.Background(), "a", testTenantImage(int64(i)), time.Time{}); resp.Err != nil {
+		if resp := g.InferAs(context.Background(), "a", testTenantImage(int64(i)), time.Time{}); resp.Err != nil {
 			t.Fatal(resp.Err)
 		}
 	}
-	rows := m.Observe()
+	rows := g.Observe()
 	if len(rows) != 2 || rows[0].Name != "a" || rows[1].Name != "b" {
 		t.Fatalf("rows %+v, want one per tenant in registry order", rows)
 	}
@@ -351,57 +349,82 @@ func TestObserveDrainsWindow(t *testing.T) {
 	if o := rows[1]; o.Samples != 0 || o.SLOSeconds != 0.08 || o.MaxCostPerHour != 2 {
 		t.Fatalf("idle tenant b %+v, want no samples, its 0.08 s SLO and $2/hr cap", o)
 	}
-	if o2 := m.Observe()[0]; o2.Samples != 0 {
+	if o2 := g.Observe()[0]; o2.Samples != 0 {
 		t.Fatalf("window not drained: %d samples remain", o2.Samples)
 	}
 }
 
 func TestStopDrainsBacklog(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{{Name: "a", QueueCap: 128}}, Replicas: 1, MaxBatch: 2})
-	m.Start()
+	g := testGateway(t, []Spec{{Name: "a", QueueCap: 128}}, serving.Config{Replicas: 1, MaxBatch: 2})
+	g.Start()
 
 	chans := make([]<-chan serving.Response, 0, 32)
 	for i := 0; i < 32; i++ {
-		ch, err := m.SubmitAs(context.Background(), "a", testTenantImage(int64(i)), time.Time{})
+		ch, err := g.SubmitAs(context.Background(), "a", testTenantImage(int64(i)), time.Time{})
 		if err != nil {
 			continue
 		}
 		chans = append(chans, ch)
 	}
-	m.Stop()
+	g.Stop()
 	for _, ch := range chans {
 		resp := <-ch
 		if resp.Err != nil && !errors.Is(resp.Err, serving.ErrStopped) {
 			t.Fatalf("drained request failed with %v", resp.Err)
 		}
 	}
-	if _, err := m.SubmitAs(context.Background(), "a", testTenantImage(0), time.Time{}); !errors.Is(err, serving.ErrStopped) {
+	if _, err := g.SubmitAs(context.Background(), "a", testTenantImage(0), time.Time{}); !errors.Is(err, serving.ErrStopped) {
 		t.Fatalf("submit after stop = %v, want ErrStopped", err)
 	}
 }
 
 // TestCountTenantError pins how the load driver files a failed request:
 // by errors.Is, so a sentinel wrapped by %w or joined by errors.Join still
-// lands in its outcome.
+// lands in its outcome, and anything else lands in Other.
 func TestCountTenantError(t *testing.T) {
-	type counts struct{ rejected, shed, expired, faulted int }
+	type counts struct{ rejected, shed, expired, faulted, other int }
 	for _, c := range []struct {
 		name string
 		err  error
 		want counts
 	}{
-		{"quota", ErrQuotaExceeded, counts{rejected: 1}},
-		{"wrapped quota", fmt.Errorf("admit: %w", ErrQuotaExceeded), counts{rejected: 1}},
-		{"joined quota", errors.Join(errors.New("tenant a"), ErrQuotaExceeded), counts{rejected: 1}},
+		{"quota", serving.ErrQuotaExceeded, counts{rejected: 1}},
+		{"wrapped quota", fmt.Errorf("admit: %w", serving.ErrQuotaExceeded), counts{rejected: 1}},
+		{"joined quota", errors.Join(errors.New("tenant a"), serving.ErrQuotaExceeded), counts{rejected: 1}},
 		{"shed", serving.ErrOverloaded, counts{shed: 1}},
 		{"expired", fmt.Errorf("late: %w", serving.ErrExpired), counts{expired: 1}},
 		{"joined fault", errors.Join(serving.ErrFaulted, errors.New("replica 2")), counts{faulted: 1}},
-		{"other", errors.New("boom"), counts{}},
+		{"stopped", serving.ErrStopped, counts{other: 1}},
+		{"other", errors.New("boom"), counts{other: 1}},
 	} {
 		var tr TenantReport
 		countTenantError(&tr, c.err)
-		if got := (counts{tr.Rejected, tr.Shed, tr.Expired, tr.Faulted}); got != c.want {
+		if got := (counts{tr.Rejected, tr.Shed, tr.Expired, tr.Faulted, tr.Other}); got != c.want {
 			t.Errorf("%s: counts = %+v, want %+v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestRunLoadCountsEveryOutcome: a replay against a stopped gateway is
+// all errors, and each tenant's outcomes sum to its submissions.
+func TestRunLoadCountsEveryOutcome(t *testing.T) {
+	specs := []Spec{{Name: "a", OfferedQPS: 200}, {Name: "b", OfferedQPS: 200}}
+	g := testGateway(t, specs, serving.Config{})
+	g.Start()
+	g.Stop()
+	rep, err := RunLoad(g, specs, LoadConfig{Duration: 200 * time.Millisecond, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if er := rep.ErrorRate(); er != 1 {
+		t.Fatalf("error rate %v against a stopped gateway, want 1", er)
+	}
+	for _, tr := range rep.Tenants {
+		if tr.Submitted == 0 {
+			t.Fatalf("tenant %s submitted nothing; test is vacuous", tr.Name)
+		}
+		if sum := tr.OK + tr.Rejected + tr.Shed + tr.Expired + tr.Faulted + tr.Other; sum != tr.Submitted {
+			t.Fatalf("tenant %s: %d submitted but %d outcomes: %+v", tr.Name, tr.Submitted, sum, tr)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ccperf/internal/autoscale"
+	"ccperf/internal/serving"
 	"ccperf/internal/telemetry"
 )
 
@@ -29,21 +30,21 @@ func postInfer(t *testing.T, srv *httptest.Server, body any) *http.Response {
 // test: a capped tenant's overflow maps to 429 Too Many Requests, and
 // the per-tenant /gateway/status row carries the rejection count.
 func TestHandlerQuota429Accounting(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{
+	g := testGateway(t, []Spec{
 		{Name: "capped", QPS: 1, Burst: 1},
 		{Name: "open"},
-	}})
-	m.Start()
-	defer m.Stop()
-	srv := httptest.NewServer(Handler(m, nil))
+	}, serving.Config{})
+	g.Start()
+	defer g.Stop()
+	srv := httptest.NewServer(serving.Handler(g))
 	defer srv.Close()
 
 	var got429 int
 	for i := 0; i < 4; i++ {
-		resp := postInfer(t, srv, InferRequest{Tenant: "capped", Seed: int64(i)})
+		resp := postInfer(t, srv, serving.InferRequest{Tenant: "capped", Seed: int64(i)})
 		switch resp.StatusCode {
 		case http.StatusOK:
-			var ir InferResponse
+			var ir serving.InferResponse
 			if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 				t.Fatal(err)
 			}
@@ -66,14 +67,14 @@ func TestHandlerQuota429Accounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var status StatusReply
+	var status serving.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
 	}
 	if len(status.Tenants) != 2 {
 		t.Fatalf("status has %d tenant rows, want 2", len(status.Tenants))
 	}
-	byName := map[string]TenantStats{}
+	byName := map[string]serving.TenantStats{}
 	for _, row := range status.Tenants {
 		byName[row.Name] = row
 	}
@@ -83,31 +84,28 @@ func TestHandlerQuota429Accounting(t *testing.T) {
 	if byName["open"].Rejected != 0 {
 		t.Fatalf("open tenant's row polluted: %+v", byName["open"])
 	}
-	if status.Joint != nil {
-		t.Fatal("no scaler attached, joint section should be absent")
-	}
 }
 
 func TestHandlerRejectsBadRequests(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{{Name: "a"}}})
-	m.Start()
-	defer m.Stop()
-	srv := httptest.NewServer(Handler(m, nil))
+	g := testGateway(t, []Spec{{Name: "a"}}, serving.Config{})
+	g.Start()
+	defer g.Stop()
+	srv := httptest.NewServer(serving.Handler(g))
 	defer srv.Close()
 
-	resp := postInfer(t, srv, InferRequest{Tenant: "ghost"})
+	resp := postInfer(t, srv, serving.InferRequest{Tenant: "ghost"})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown tenant status %d, want 404", resp.StatusCode)
 	}
 	resp.Body.Close()
 
-	resp = postInfer(t, srv, InferRequest{})
+	resp = postInfer(t, srv, serving.InferRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing tenant status %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
 
-	resp = postInfer(t, srv, InferRequest{Tenant: "a", Image: []float32{1, 2, 3}})
+	resp = postInfer(t, srv, serving.InferRequest{Tenant: "a", Image: []float32{1, 2, 3}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad image length status %d, want 400", resp.StatusCode)
 	}
@@ -123,11 +121,13 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 	r.Body.Close()
 }
 
+// TestHandlerStatusIncludesJoint: the scaler's placement status over a
+// tenant gateway is served at /autoscale/status, one row per tenant.
 func TestHandlerStatusIncludesJoint(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{{Name: "a", Ladder: []float64{0, 0.9}}}})
-	sc, err := autoscale.New(m, autoscale.Config{
+	g := testGateway(t, []Spec{{Name: "a", Ladder: []float64{0, 0.9}}}, serving.Config{})
+	sc, err := autoscale.New(g, autoscale.Config{
 		Policy:   autoscale.Policy{Limits: autoscale.Limits{MinReplicas: 1, MaxReplicas: 4, PricePerReplicaHour: 1}},
-		Profiles: map[string][]autoscale.Profile{"a": profilesFromLadder(m.Ladder("a"), nil)},
+		Profiles: map[string][]autoscale.Profile{"a": profilesFromLadder(g.Ladder("a"), nil)},
 		Interval: time.Hour, // ticked manually, never by the clock
 		Registry: telemetry.NewRegistry(),
 		Tracer:   telemetry.NewTracer(64),
@@ -135,25 +135,25 @@ func TestHandlerStatusIncludesJoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Start()
-	defer m.Stop()
+	g.Start()
+	defer g.Stop()
 	sc.Tick()
 
-	srv := httptest.NewServer(Handler(m, sc))
+	srv := httptest.NewServer(autoscale.Handler(sc))
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/gateway/status")
+	resp, err := http.Get(srv.URL + "/autoscale/status")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var status StatusReply
+	var status autoscale.Status
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
 	}
-	if status.Joint == nil || status.Joint.Ticks != 1 {
-		t.Fatalf("joint section missing or unticked: %+v", status.Joint)
+	if status.Ticks != 1 {
+		t.Fatalf("joint status unticked: %+v", status)
 	}
-	if len(status.Joint.Tenants) != 1 || status.Joint.Tenants[0].Name != "a" {
-		t.Fatalf("joint tenant rows: %+v", status.Joint.Tenants)
+	if len(status.Tenants) != 1 || status.Tenants[0].Name != "a" {
+		t.Fatalf("joint tenant rows: %+v", status.Tenants)
 	}
 }

@@ -46,11 +46,14 @@ type TenantReport struct {
 	// Rejected counts quota rejections (the 429s) — deliberate
 	// back-pressure on a tenant exceeding its own quota, excluded from
 	// ErrorRate.
-	Rejected int   `json:"rejected"`
-	Shed     int   `json:"shed"`
-	Expired  int   `json:"expired"`
-	Faulted  int   `json:"faulted"`
-	Retries  int64 `json:"retries"`
+	Rejected int `json:"rejected"`
+	Shed     int `json:"shed"`
+	Expired  int `json:"expired"`
+	Faulted  int `json:"faulted"`
+	// Other counts every failure outside those classes (ErrStopped, a
+	// wrapped error of any other kind).
+	Other   int   `json:"other_errors"`
+	Retries int64 `json:"retries"`
 
 	P50MS float64 `json:"p50_ms"`
 	P95MS float64 `json:"p95_ms"`
@@ -71,14 +74,15 @@ type TenantReport struct {
 	Stages serving.Stages `json:"stages"`
 }
 
-// ErrorRate is the tenant's shed+expired+faulted fraction of submissions.
-// Quota rejections are excluded: a tenant over its own quota being told
-// 429 is the isolation mechanism working, not a service failure.
+// ErrorRate is the tenant's shed+expired+faulted+other fraction of
+// submissions. Quota rejections are excluded: a tenant over its own quota
+// being told 429 is the isolation mechanism working, not a service
+// failure.
 func (t *TenantReport) ErrorRate() float64 {
 	if t.Submitted == 0 {
 		return 0
 	}
-	return float64(t.Shed+t.Expired+t.Faulted) / float64(t.Submitted)
+	return float64(t.Shed+t.Expired+t.Faulted+t.Other) / float64(t.Submitted)
 }
 
 // Report summarizes one multi-tenant load test: per-tenant rows plus the
@@ -117,41 +121,49 @@ func (r *Report) ErrorRate() float64 {
 }
 
 // RunLoad replays every tenant's Poisson arrival process open-loop
-// against the mux: arrivals fire at their scheduled offsets whether or
-// not earlier requests completed. It returns after every response has
-// arrived and the cooldown has elapsed. The caller owns Mux Start/Stop
-// (and Scaler Start/Stop).
-func RunLoad(m *Mux, cfg LoadConfig) (*Report, error) {
+// against the gateway: arrivals fire at their scheduled offsets whether or
+// not earlier requests completed. Each tenant offers its spec's
+// OfferedQPS (falling back to its QPS quota, then 20/s); specs name the
+// gateway's tenants. It returns after every response has arrived and the
+// cooldown has elapsed. The caller owns gateway Start/Stop (and Scaler
+// Start/Stop).
+func RunLoad(g *serving.Gateway, specs []Spec, cfg LoadConfig) (*Report, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("tenant: load config needs a positive duration")
 	}
-	specs := m.Registry().Specs()
-	rep := &Report{Tenants: make([]TenantReport, len(specs))}
+	offered := make(map[string]float64, len(specs))
+	for _, s := range specs {
+		offered[s.Name] = s.OfferedQPS
+	}
+	names := g.Tenants()
+	rep := &Report{Tenants: make([]TenantReport, len(names))}
 
-	ctx, finishReplay := m.cfg.Tracer.StartSpan(context.Background(), "tenant.replay")
+	ctx, finishReplay := g.Config().Tracer.StartSpan(context.Background(), "loadtest.replay")
 	start := time.Now()
 	var wg sync.WaitGroup
 
-	for i, spec := range specs {
-		rate := spec.OfferedQPS
+	for i, name := range names {
+		st := g.TenantStats(name)
+		rate := offered[name]
 		if rate <= 0 {
-			rate = spec.QPS
+			rate = st.QPSQuota
 		}
 		if rate <= 0 {
 			rate = 20
 		}
 		tr := &rep.Tenants[i]
-		tr.Name = spec.Name
+		tr.Name = name
 		tr.OfferedQPS = rate
-		tr.QPSQuota = spec.QPS
-		tr.SLOMS = spec.SLOMS
-		tr.PerVariant = make([]int, len(m.Ladder(spec.Name)))
+		tr.QPSQuota = st.QPSQuota
+		tr.SLOMS = st.SLOMS
+		ladder := g.Ladder(name)
+		tr.PerVariant = make([]int, len(ladder))
 
 		wg.Add(1)
-		go func(spec Spec, tr *TenantReport, rate float64, seed int64) {
+		go func(tr *TenantReport, rate float64, seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			shape := m.Ladder(spec.Name)[0].Net.Input
+			shape := ladder[0].Net.Input
 			var mu sync.Mutex
 			latencies := []float64{}
 			var inner sync.WaitGroup
@@ -169,7 +181,7 @@ func RunLoad(m *Mux, cfg LoadConfig) (*Report, error) {
 				mu.Lock()
 				tr.Submitted++
 				mu.Unlock()
-				ch, err := m.SubmitAs(ctx, spec.Name, img, time.Time{})
+				ch, err := g.SubmitAs(ctx, tr.Name, img, time.Time{})
 				if err != nil {
 					mu.Lock()
 					countTenantError(tr, err)
@@ -202,20 +214,20 @@ func RunLoad(m *Mux, cfg LoadConfig) (*Report, error) {
 				p50, p95, p99, max := stats.Summary(latencies)
 				tr.P50MS, tr.P95MS, tr.P99MS, tr.MaxMS = p50*1000, p95*1000, p99*1000, max*1000
 			}
-		}(spec, tr, rate, cfg.Seed+int64(i))
+		}(tr, rate, cfg.Seed+int64(i))
 	}
 	wg.Wait()
-	finishReplay(telemetry.L("tenants", len(specs)))
+	finishReplay(telemetry.L("tenants", len(names)))
 	if cfg.Cooldown > 0 {
 		time.Sleep(cfg.Cooldown)
 	}
 	rep.WallSeconds = time.Since(start).Seconds()
 
-	stages := m.StageStatsByTenant()
+	stages := g.StageStatsByTenant()
 	totalOK := 0
 	for i := range rep.Tenants {
 		tr := &rep.Tenants[i]
-		st := m.TenantStats(tr.Name)
+		st := g.TenantStats(tr.Name)
 		tr.Retries = st.Retries
 		tr.OnTime = st.OnTime
 		tr.Degrades = st.Degrades
@@ -236,9 +248,11 @@ func RunLoad(m *Mux, cfg LoadConfig) (*Report, error) {
 	return rep, nil
 }
 
+// countTenantError files one failed request under its outcome, by
+// errors.Is so a wrapped sentinel still lands in its class.
 func countTenantError(tr *TenantReport, err error) {
 	switch {
-	case errors.Is(err, ErrQuotaExceeded):
+	case errors.Is(err, serving.ErrQuotaExceeded):
 		tr.Rejected++
 	case errors.Is(err, serving.ErrOverloaded):
 		tr.Shed++
@@ -246,17 +260,19 @@ func countTenantError(tr *TenantReport, err error) {
 		tr.Expired++
 	case errors.Is(err, serving.ErrFaulted):
 		tr.Faulted++
+	default:
+		tr.Other++
 	}
 }
 
 // String renders the report for the CLI: one block per tenant plus the
-// joint placement summary.
+// joint placement summary (the fleet's own scaler lines are the CLI's).
 func (r *Report) String() string {
 	var b strings.Builder
 	for i := range r.Tenants {
 		t := &r.Tenants[i]
-		fmt.Fprintf(&b, "tenant %-10s: %d submitted, %d ok, %d rejected (429), %d shed, %d expired, %d faulted\n",
-			t.Name, t.Submitted, t.OK, t.Rejected, t.Shed, t.Expired, t.Faulted)
+		fmt.Fprintf(&b, "tenant %-10s: %d submitted, %d ok, %d rejected (429), %d shed, %d expired, %d faulted, %d other errors\n",
+			t.Name, t.Submitted, t.OK, t.Rejected, t.Shed, t.Expired, t.Faulted, t.Other)
 		fmt.Fprintf(&b, "  latency  : p50 %.1f ms, p99 %.1f ms (SLO %.0f ms), %.1f%% on-time, %.2f%% errors\n",
 			t.P50MS, t.P99MS, t.SLOMS, t.OnTimeFrac*100, t.ErrorRate()*100)
 		fmt.Fprintf(&b, "  accuracy : %.1f%% mean proxy, ladder %v (%d degrades, %d restores)\n",
@@ -264,8 +280,6 @@ func (r *Report) String() string {
 	}
 	fmt.Fprintf(&b, "fleet: %.0f req/s served over %.2f s\n", r.Throughput, r.WallSeconds)
 	if j := r.Joint; j != nil {
-		fmt.Fprintf(&b, "joint: %d replicas, $%.4f total ($%.2f/hr), %d scale-outs, %d scale-ins\n",
-			j.Replicas, j.Cost, j.CostPerHour, j.ScaleOuts, j.ScaleIns)
 		if j.DegradedFirst != "" {
 			fmt.Fprintf(&b, "joint: degraded first: %s; next in line: %v\n", j.DegradedFirst, j.DegradeOrder)
 		}

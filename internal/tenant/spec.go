@@ -1,26 +1,19 @@
-// Package tenant generalizes the serving stack from one model to N: a
-// multi-tenant front-end that hosts several pruning ladders — each with
-// its own calibrated accuracy proxy, latency SLO, admission quota, and
-// budget share — on one shared replica fleet.
+// Package tenant declares the tenants one serving.Gateway hosts on a
+// shared replica fleet — each with its own pruning ladder, calibrated
+// accuracy proxy, latency SLO, admission quota, fair-share weight and
+// budget share — and drives open-loop multi-tenant load against it.
 //
 // The paper prices a single model's cost-accuracy frontier on one
 // instance at a time; Perseus and "No DNN Left Behind" (PAPERS.md) show
 // the dominant serving-cost win comes from co-locating models on shared
-// capacity. This package supplies the three mechanisms co-location needs
-// to be safe:
-//
-//   - Admission quotas: each tenant gets a token bucket (rate = its QPS
-//     quota) so one tenant's flood is rejected at its own front door
-//     (ErrQuotaExceeded, HTTP 429) instead of consuming shared queue
-//     space.
-//   - Weighted-fair batching: replicas pick batches by deficit
-//     round-robin across the per-tenant backlogs, coalescing only
-//     same-tenant requests (each tenant runs its own nets), so a noisy
-//     neighbor cannot starve a quiet one of replica time.
-//   - Joint placement: autoscale.Scaler drives the mux like any fleet,
-//     binding the pure autoscale.Policy to it — which tenant degrades
-//     first (largest accuracy-per-dollar slack), which gets freed
-//     capacity, per-tenant $/hr enforcement.
+// capacity. The mechanisms co-location needs (per-tenant token-bucket
+// quotas, deficit-round-robin batching, per-tenant ladders and SLOs) live
+// in the gateway itself; this package supplies the spec-file format
+// (Spec, ParseSpecs, NewRegistry), NewGateway, which builds a gateway from
+// specs, and RunLoad, which replays each tenant's Poisson arrivals.
+// autoscale.Scaler drives the resulting gateway like any fleet: which
+// tenant degrades first (largest accuracy-per-dollar slack), which gets
+// freed capacity, per-tenant $/hr enforcement.
 //
 // The tenant spec format, fairness model and degrade-order semantics are
 // documented in docs/MULTITENANT.md.
@@ -34,6 +27,8 @@ import (
 	"os"
 	"sort"
 	"time"
+
+	"ccperf/internal/serving"
 )
 
 // Spec declares one tenant to the fleet. JSON tags define the spec-file
@@ -84,7 +79,7 @@ type Spec struct {
 // withDefaults fills the documented defaults on zero fields.
 func (s Spec) withDefaults() Spec {
 	if len(s.Ladder) == 0 {
-		s.Ladder = nil // BuildLadder substitutes serving.DefaultLadderRatios
+		s.Ladder = nil // NewGateway's build func substitutes serving.DefaultLadderRatios
 	}
 	if s.SLOMS <= 0 {
 		s.SLOMS = 50
@@ -109,17 +104,16 @@ func (s Spec) withDefaults() Spec {
 
 // Bounds on a spec's rates and latencies: a positive qps or offered_qps
 // lies in [MinSpecQPS, MaxSpecQPS] (requests/second), a positive slo_ms
-// or deadline_ms in [MinSpecMS, MaxSpecMS]. They sit far outside any real
-// tenant (examples/tenants.json asks for 10–60 req/s and 250–500 ms) and
-// keep every derived duration representable: SLO() and Deadline() neither
-// round to zero nor overflow, and RunLoad's inter-arrival gaps neither
-// round to zero (at offered_qps 1e12 every gap did, so the replay never
-// advanced) nor overflow.
+// or deadline_ms in [MinSpecMS, serving.MaxLatencyMS]. They sit far
+// outside any real tenant (examples/tenants.json asks for 10–60 req/s and
+// 250–500 ms) and keep every derived duration representable: SLO() and
+// Deadline() neither round to zero nor overflow, and RunLoad's
+// inter-arrival gaps neither round to zero (at offered_qps 1e12 every gap
+// did, so the replay never advanced) nor overflow.
 const (
 	MinSpecQPS = 1e-3
 	MaxSpecQPS = 1e6
 	MinSpecMS  = 1e-3
-	MaxSpecMS  = 86_400_000 // one day
 )
 
 // Validate rejects a spec the fleet cannot host. Every numeric field must
@@ -143,8 +137,8 @@ func (s Spec) Validate() error {
 	}{
 		{"qps", s.QPS, MinSpecQPS, MaxSpecQPS},
 		{"offered_qps", s.OfferedQPS, MinSpecQPS, MaxSpecQPS},
-		{"slo_ms", s.SLOMS, MinSpecMS, MaxSpecMS},
-		{"deadline_ms", s.DeadlineMS, MinSpecMS, MaxSpecMS},
+		{"slo_ms", s.SLOMS, MinSpecMS, serving.MaxLatencyMS},
+		{"deadline_ms", s.DeadlineMS, MinSpecMS, serving.MaxLatencyMS},
 		{"burst", s.Burst, 0, math.MaxFloat64},
 		{"weight", s.Weight, 0, math.MaxFloat64},
 		{"max_cost_per_hour", s.MaxCostPerHour, 0, math.MaxFloat64},
@@ -228,15 +222,6 @@ func (r *Registry) Get(name string) (Spec, bool) {
 	return r.specs[i], true
 }
 
-// index returns the registry position of name (-1 when absent).
-func (r *Registry) index(name string) int {
-	i, ok := r.byName[name]
-	if !ok {
-		return -1
-	}
-	return i
-}
-
 // ParseSpecs decodes a tenant spec file: a JSON array of Spec objects
 // (optionally wrapped as {"tenants": [...]}).
 func ParseSpecs(rd io.Reader) ([]Spec, error) {
@@ -265,4 +250,31 @@ func LoadSpecs(path string) ([]Spec, error) {
 	}
 	defer f.Close()
 	return ParseSpecs(f)
+}
+
+// NewGateway validates the specs, builds each tenant's ladder from its
+// prune ratios with build (nil = serving.DemoLadder), and returns a
+// gateway (not yet serving) hosting the tenants in name order on the
+// fleet cfg describes. cfg sets neither Tenants nor Ladder.
+func NewGateway(specs []Spec, build func(ratios []float64) ([]serving.Variant, error), cfg serving.Config) (*serving.Gateway, error) {
+	reg, err := NewRegistry(specs)
+	if err != nil {
+		return nil, err
+	}
+	if build == nil {
+		build = serving.DemoLadder
+	}
+	cfg.Tenants = make([]serving.Tenant, 0, reg.Len())
+	for _, s := range reg.Specs() {
+		ladder, err := build(s.Ladder)
+		if err != nil {
+			return nil, fmt.Errorf("tenant %s: building ladder: %w", s.Name, err)
+		}
+		cfg.Tenants = append(cfg.Tenants, serving.Tenant{
+			Name: s.Name, Ladder: ladder, SLO: s.SLO(), Deadline: s.Deadline(),
+			QueueCap: s.QueueCap, Weight: s.Weight, QPS: s.QPS, Burst: s.Burst,
+			MaxCostPerHour: s.MaxCostPerHour,
+		})
+	}
+	return serving.New(cfg)
 }

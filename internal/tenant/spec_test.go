@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ccperf/internal/serving"
 )
 
 func TestParseSpecsArrayAndWrapped(t *testing.T) {
@@ -77,44 +79,6 @@ func TestRegistryRejectsDuplicatesAndBadSpecs(t *testing.T) {
 	}
 }
 
-func TestBucketAdmission(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := newBucket(10, 2) // 10/s, burst 2
-
-	if !b.allow(now) || !b.allow(now) {
-		t.Fatal("burst of 2 should admit two immediately")
-	}
-	if b.allow(now) {
-		t.Fatal("third immediate request should be rejected")
-	}
-	// 100ms refills exactly one token at 10/s.
-	now = now.Add(100 * time.Millisecond)
-	if !b.allow(now) {
-		t.Fatal("one token should have refilled")
-	}
-	if b.allow(now) {
-		t.Fatal("bucket should be empty again")
-	}
-	// A long idle period caps at the burst, not the elapsed rate.
-	now = now.Add(time.Hour)
-	if !b.allow(now) || !b.allow(now) {
-		t.Fatal("burst should refill after idle")
-	}
-	if b.allow(now) {
-		t.Fatal("refill must cap at burst")
-	}
-}
-
-func TestBucketUnlimited(t *testing.T) {
-	b := newBucket(0, 0)
-	now := time.Unix(0, 0)
-	for i := 0; i < 1000; i++ {
-		if !b.allow(now) {
-			t.Fatal("rate 0 means unlimited")
-		}
-	}
-}
-
 func TestSpecValidateRejectsNaNRatio(t *testing.T) {
 	if err := (Spec{Name: "a", Ladder: []float64{0, math.NaN()}}).Validate(); err == nil {
 		t.Fatal("Validate accepts a NaN ladder ratio")
@@ -135,7 +99,7 @@ func TestSpecValidateBoundsFields(t *testing.T) {
 		{"offered_qps", Spec{Name: "a", OfferedQPS: 1e-12}},
 		{"slo_ms", Spec{Name: "a", SLOMS: 1e13}},
 		{"slo_ms", Spec{Name: "a", SLOMS: 1e-9}},
-		{"deadline_ms", Spec{Name: "a", DeadlineMS: MaxSpecMS + 1}},
+		{"deadline_ms", Spec{Name: "a", DeadlineMS: serving.MaxLatencyMS + 1}},
 		{"slo_ms", Spec{Name: "a", SLOMS: math.NaN()}},
 		{"weight", Spec{Name: "a", Weight: math.Inf(1)}},
 		{"burst", Spec{Name: "a", Burst: math.NaN()}},
@@ -148,7 +112,7 @@ func TestSpecValidateBoundsFields(t *testing.T) {
 			t.Errorf("%+v: Validate = %v, want an error naming tenant a and %s", c.spec, err, c.field)
 		}
 	}
-	edge := Spec{Name: "a", QPS: MaxSpecQPS, OfferedQPS: MinSpecQPS, SLOMS: MaxSpecMS, DeadlineMS: MinSpecMS}
+	edge := Spec{Name: "a", QPS: MaxSpecQPS, OfferedQPS: MinSpecQPS, SLOMS: serving.MaxLatencyMS, DeadlineMS: MinSpecMS}
 	if err := edge.Validate(); err != nil {
 		t.Fatalf("bounds are inclusive: %v", err)
 	}

@@ -35,7 +35,7 @@ mkdir -p out
 
 echo "bench snapshot: micro benchmarks (-bench '$bench' -benchtime $benchtime -count $count)"
 go test -run - -bench "$bench" -benchmem -benchtime "$benchtime" -count "$count" \
-    . ./internal/tensor ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/tenant ./internal/shard > out/bench-raw.txt
+    . ./internal/tensor ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/shard > out/bench-raw.txt
 
 loadtest_flag=""
 if [ "$loadtest" = "1" ]; then

@@ -27,6 +27,12 @@ GOARCH=arm64 go vet ./...
 echo "== go build ./..."
 go build ./...
 
+# ccbench is its own module (replace ccperf => ../), so ./... above never
+# compiles it; vet it here so an API change it builds against fails the
+# gate rather than the benchmark run.
+echo "== (cd ccbench && go vet ./...)"
+(cd ccbench && go vet ./...)
+
 echo "== go test -race ./..."
 go test -race ./...
 
@@ -56,7 +62,7 @@ echo "== bench smoke (go test -run - -bench . -benchtime 1x)"
 mkdir -p out
 # One iteration of every benchmark: each must run and terminate at b.N = 1.
 go test -run - -bench . -benchmem -benchtime 1x \
-    . ./internal/tensor ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/tenant ./internal/shard | tee out/bench-smoke.txt
+    . ./internal/tensor ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/shard | tee out/bench-smoke.txt
 
 # Regression gate: rerun the gated hot-path benchmarks
 # (benchdiff.DefaultGatePattern) the way the newest committed trajectory
@@ -97,16 +103,36 @@ go run -race ./cmd/ccperf loadtest \
     -queue 64 -max-batch 4 -slo 5ms -deadline 250ms \
     -chaos -max-error-rate 0.75
 
-echo "== autoscale smoke (cost-accuracy loop; exits non-zero past the budget or p99 gate)"
-go run -race ./cmd/ccperf loadtest \
+# autoscale_smoke LOG ARGS...: run `ccperf loadtest ARGS` under -race,
+# print its output, and fail unless it exits zero (its budget and p99
+# gates) and its autoscale ledger shows at least one scale-out, one
+# degrade and one restore. A 1 ms SLO is violated on any host, so the loop
+# must scale out and then degrade while traffic flows; the idle cooldown
+# (more than five ticks) must bring a rung back.
+autoscale_smoke() {
+    log=$1
+    shift
+    status=0
+    go run -race ./cmd/ccperf loadtest "$@" >"$log" 2>&1 || status=$?
+    cat "$log"
+    [ "$status" -eq 0 ] || exit "$status"
+    ledger=$(grep '^autoscale:' "$log" || true)
+    if ! echo "$ledger" | awk 'NF >= 10 && $4 >= 1 && $8 >= 1 && $10 >= 1 { ok = 1 } END { exit !ok }'; then
+        echo "autoscale smoke never acted on both axes: ${ledger:-no ledger}" >&2
+        exit 1
+    fi
+}
+
+echo "== autoscale smoke (cost-accuracy loop; must scale out, degrade and restore; exits non-zero past the budget or p99 gate)"
+autoscale_smoke out/autoscale-smoke.txt \
     -requests 300 -duration 2s -windows 4 \
-    -queue 64 -max-batch 4 -slo 50ms -deadline 500ms -cooldown 300ms \
+    -queue 64 -max-batch 4 -slo 1ms -deadline 500ms -cooldown 1s \
     -autoscale -budget 2.7 -min-replicas 1 -max-replicas 3 \
     -autoscale-interval 100ms -max-p99 2s
 
-echo "== tenant autoscale smoke (the same loop on a two-tenant mux; exits non-zero past the budget or p99 gate)"
-go run -race ./cmd/ccperf loadtest \
-    -tenants examples/tenants.json -duration 2s -max-batch 4 -cooldown 300ms \
+echo "== tenant autoscale smoke (the same loop on a two-tenant gateway; must scale out, degrade and restore)"
+autoscale_smoke out/tenant-autoscale-smoke.txt \
+    -tenants examples/tenants-violating.json -duration 2s -max-batch 4 -cooldown 1s \
     -autoscale -budget 2.7 -min-replicas 1 -max-replicas 3 \
     -autoscale-interval 100ms -max-p99 2s
 
