@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"ccperf"
@@ -31,6 +32,22 @@ func newFlagSet(name, oneLine string) *flag.FlagSet {
 
 // Shared flag helpers: subcommands spell common knobs identically by
 // registering them through these, not ad hoc.
+
+// rejectWithTenants returns an error naming each of the given flags set
+// on the command line: next to -tenants, every tenant takes them from its
+// spec, so a value given here would go unused.
+func rejectWithTenants(fs *flag.FlagSet, names ...string) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) > 0 {
+		return fmt.Errorf("%s: -tenants cannot take %s: each tenant's spec sets its own", fs.Name(), strings.Join(set, ", "))
+	}
+	return nil
+}
 
 func modelFlag(fs *flag.FlagSet) *string {
 	return fs.String("model", ccperf.Caffenet, "model: caffenet or googlenet")

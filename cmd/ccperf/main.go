@@ -572,7 +572,7 @@ func loadtestCmd(args []string) error {
 	faultSpec := faultsFlag(fs, "crash@0:2+3,err:0.02,seed=7")
 	chaos := fs.Bool("chaos", false, "inject a canned seeded chaos schedule (crash replica 0 for the middle third of the run, plus a 2% error rate)")
 	maxErrorRate := fs.Float64("max-error-rate", 1, "exit non-zero when failed/submitted (shed, expired, faulted or any other error; quota rejections excluded) exceeds this fraction")
-	tenantsSpec := fs.String("tenants", "", "tenant spec file: host N ladders with per-tenant SLOs/quotas on one shared fleet (see docs/MULTITENANT.md; each tenant replays its own offered_qps Poisson load, so -requests/-pattern are ignored)")
+	tenantsSpec := fs.String("tenants", "", "tenant spec file: host N ladders with per-tenant SLOs/quotas on one shared fleet (see docs/MULTITENANT.md; each tenant replays its own offered_qps Poisson load, so -requests/-pattern are ignored; each spec sets its tenant's ladder, SLO, deadline and queue cap, so -ladder/-slo/-deadline/-queue are rejected)")
 	shards := fs.Int("shards", 0, "route across N sharded gateways spread over -regions (consistent hashing, health-aware regional failover; -pattern is replaced by -shape; see docs/RESILIENCE.md)")
 	regionsSpec := fs.String("regions", "us-west,us-east", "comma-separated regions hosting the shards round-robin (with -shards)")
 	shapeSpec := fs.String("shape", "", "composed arrival shape, e.g. \"diurnal:0.6@0.75,flash:0.5+0.05+0.2x4\" (with -shards; empty = uniform)")
@@ -637,21 +637,22 @@ func loadtestCmd(args []string) error {
 	opts := []ccperf.Option{
 		ccperf.WithGateway(),
 		ccperf.WithReplicas(*replicas),
-		ccperf.WithQueueCap(*queueCap),
 		ccperf.WithMaxBatch(*maxBatch),
 		ccperf.WithBatchTimeout(*batchTimeout),
-		ccperf.WithSLO(*slo),
-		ccperf.WithDeadline(*deadline),
 		ccperf.WithInstance(*instance),
 	}
 	var specs []tenant.Spec
 	var trace *workload.Trace
 	if *tenantsSpec != "" {
+		if err := rejectWithTenants(fs, "ladder", "queue", "slo", "deadline"); err != nil {
+			return err
+		}
 		if specs, err = tenant.LoadSpecs(*tenantsSpec); err != nil {
 			return fmt.Errorf("loadtest: -tenants: %w", err)
 		}
 		opts = append(opts, ccperf.WithTenants(specs))
 	} else {
+		opts = append(opts, ccperf.WithQueueCap(*queueCap), ccperf.WithSLO(*slo), ccperf.WithDeadline(*deadline))
 		trace, err = workload.Generate(workload.Config{
 			Pattern: pat, DailyTotal: *requests, Windows: *windows, Seed: *seed,
 		})
@@ -796,7 +797,7 @@ func serveCmd(ctx context.Context, args []string) error {
 	minReplicas := fs.Int("min-replicas", 1, "autoscale floor (with -autoscale)")
 	maxReplicas := fs.Int("max-replicas", 8, "autoscale ceiling (with -autoscale)")
 	instance := fs.String("instance", "p2.xlarge", "instance type pricing each replica (with -autoscale)")
-	tenantsSpec := fs.String("tenants", "", "tenant spec file: host its tenants on the gateway instead of one -ladder model (implies -gateway; per-tenant /gateway/status rows)")
+	tenantsSpec := fs.String("tenants", "", "tenant spec file: host its tenants on the gateway instead of one -ladder model (implies -gateway; per-tenant /gateway/status rows; each spec sets its tenant's ladder and SLO, so -ladder/-slo are rejected)")
 	fs.Parse(args)
 
 	if *demo {
@@ -814,10 +815,12 @@ func serveCmd(ctx context.Context, args []string) error {
 		opts := []ccperf.Option{
 			ccperf.WithGateway(),
 			ccperf.WithReplicas(*replicas),
-			ccperf.WithSLO(*slo),
 			ccperf.WithInstance(*instance),
 		}
 		if *tenantsSpec != "" {
+			if err := rejectWithTenants(fs, "ladder", "slo"); err != nil {
+				return err
+			}
 			specs, err := tenant.LoadSpecs(*tenantsSpec)
 			if err != nil {
 				return fmt.Errorf("serve: -tenants: %w", err)
@@ -828,6 +831,7 @@ func serveCmd(ctx context.Context, args []string) error {
 			if err != nil {
 				return err
 			}
+			opts = append(opts, ccperf.WithSLO(*slo))
 			if len(ratios) > 0 {
 				opts = append(opts, ccperf.WithLadder(ratios...))
 			}

@@ -3,6 +3,7 @@ package ccperf
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -128,6 +129,8 @@ func WithAutoscaleInterval(d time.Duration) Option { return func(o *options) { o
 // WithTenants hosts N tenants — each with its own pruning ladder, SLO,
 // admission quota, and fair-share weight — on the gateway's shared
 // replica fleet instead of the one WithLadder model. Implies WithGateway.
+// Each spec sets its tenant's ladder, SLO, deadline and queue cap, so Open
+// rejects WithLadder, WithSLO, WithDeadline and WithQueueCap next to it.
 // Without WithAutoscale the built-in controller defends each tenant's
 // SLO; with it, the Scaler drives the shared replica count and every
 // tenant's ladder rung — which tenant degrades first is the one with the
@@ -205,6 +208,9 @@ func Open(model string, opts ...Option) (*Stack, error) {
 		Tracer:          o.tracer,
 	}
 	if len(o.tenants) > 0 {
+		if set := o.oneTenantOnly(); len(set) > 0 {
+			return nil, fmt.Errorf("ccperf: WithTenants cannot take %s: each tenant's spec sets its own ladder, SLO, deadline and queue cap", strings.Join(set, ", "))
+		}
 		st.gw, err = tenant.NewGateway(o.tenants, buildLadder, cfg)
 	} else {
 		cfg.QueueCap, cfg.SLO, cfg.Deadline = o.queueCap, o.slo, o.deadline
@@ -222,6 +228,25 @@ func Open(model string, opts ...Option) (*Stack, error) {
 		}
 	}
 	return st, nil
+}
+
+// oneTenantOnly names the options set to something other than their
+// default that only a one-tenant gateway reads.
+func (o *options) oneTenantOnly() []string {
+	var set []string
+	if o.ratios != nil {
+		set = append(set, "WithLadder")
+	}
+	if o.queueCap != 0 {
+		set = append(set, "WithQueueCap")
+	}
+	if o.slo != 0 {
+		set = append(set, "WithSLO")
+	}
+	if o.deadline != 0 {
+		set = append(set, "WithDeadline")
+	}
+	return set
 }
 
 // initialReplicas returns the fleet's starting size: WithReplicas, or

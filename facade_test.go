@@ -3,6 +3,7 @@ package ccperf
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -172,6 +173,42 @@ func TestOpenTenantsRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := Open(Caffenet, WithTenants([]tenant.Spec{{Name: "a", Ladder: []float64{2}}})); err == nil {
 		t.Fatal("out-of-range tenant ladder must fail")
+	}
+}
+
+// TestOpenTenantsRejectsOneTenantOptions: each spec sets its tenant's
+// ladder, SLO, deadline and queue cap, so Open rejects the one-tenant
+// options next to WithTenants, naming each one set, instead of ignoring
+// them. Options left at their defaults are accepted.
+func TestOpenTenantsRejectsOneTenantOptions(t *testing.T) {
+	specs := []tenant.Spec{{Name: "a"}}
+	for _, c := range []struct {
+		opts []Option
+		want []string
+	}{
+		{[]Option{WithLadder(0, 0.5)}, []string{"WithLadder"}},
+		{[]Option{WithQueueCap(8)}, []string{"WithQueueCap"}},
+		{[]Option{WithSLO(time.Second)}, []string{"WithSLO"}},
+		{[]Option{WithDeadline(time.Second)}, []string{"WithDeadline"}},
+		{[]Option{WithSLO(time.Second), WithDeadline(time.Second)}, []string{"WithSLO", "WithDeadline"}},
+		{[]Option{WithLadder(), WithQueueCap(0), WithSLO(0), WithDeadline(0)}, nil},
+	} {
+		st, err := Open(Caffenet, append(c.opts, WithTenants(specs))...)
+		if c.want == nil {
+			if err != nil {
+				t.Fatalf("defaults next to WithTenants: %v", err)
+			}
+			st.Close()
+			continue
+		}
+		if err == nil {
+			t.Fatalf("WithTenants + %v: no error", c.want)
+		}
+		for _, name := range c.want {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("WithTenants + %v: error %q does not name %s", c.want, err, name)
+			}
+		}
 	}
 }
 

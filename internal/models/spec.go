@@ -126,6 +126,19 @@ func intArg(args map[string]string, key string, def int) (int, error) {
 	return n, nil
 }
 
+// maxWidth bounds the channel counts a spec can give the layers whose
+// constructors allocate per channel (batchnorm, resblock): a negative
+// count would panic, and a huge one exhaust memory, before Init.
+const maxWidth = 1 << 16
+
+// checkWidth rejects a channel count outside [1, maxWidth].
+func checkWidth(key string, n int) error {
+	if n < 1 || n > maxWidth {
+		return fmt.Errorf("argument %s=%d out of [1, %d]", key, n, maxWidth)
+	}
+	return nil
+}
+
 func buildLayer(directive string, args map[string]string, pos []string, autoName func(string) string) (nn.Layer, error) {
 	name := args["name"]
 	switch directive {
@@ -202,6 +215,9 @@ func buildLayer(directive string, args map[string]string, pos []string, autoName
 		if err != nil {
 			return nil, fmt.Errorf("batchnorm requires channels=N (the spec parser cannot infer it)")
 		}
+		if err := checkWidth("channels", c); err != nil {
+			return nil, err
+		}
 		if name == "" {
 			name = autoName("bn")
 		}
@@ -251,6 +267,9 @@ func buildLayer(directive string, args map[string]string, pos []string, autoName
 		}
 		filters, err := intArg(args, "filters", -1)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkWidth("filters", filters); err != nil {
 			return nil, err
 		}
 		stride, err := intArg(args, "stride", 1)

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -100,6 +101,9 @@ func TestParseSpecErrors(t *testing.T) {
 		"bad arg":           "input 1x8x8\nconv filters=4 k=x",
 		"bad inception":     "input 1x8x8\ninception 1 2 3",
 		"bn no channels":    "input 1x8x8\nbatchnorm",
+		"bn channels < 1":   "input 1x8x8\nbatchnorm channels=-1",
+		"bn huge channels":  "input 1x8x8\nbatchnorm channels=99999999999",
+		"res filters < 1":   "input 1x8x8\nresblock filters=0",
 		"bad dropout":       "input 1x8x8\ndropout rate=2",
 		"empty spec":        "   \n# only comments\n",
 		"malformed kv":      "input 1x8x8\nconv filters=",
@@ -109,6 +113,39 @@ func TestParseSpecErrors(t *testing.T) {
 			t.Errorf("%s: expected error", name)
 		}
 	}
+}
+
+// FuzzParseSpec checks that no spec text panics ParseSpec and that every
+// error names a line of the spec, or is the empty-spec error. It does not
+// Init the nets it builds: the fuzzer would size their weights.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		goodSpec,
+		"input 3x64x64\nconv name=stem filters=192 k=3\ninception name=i3a 64 96 128 16 32 32\ngap\nflatten\nfc out=5",
+		"input 3x224x224\nconv filters=96 k=11 stride=4 pad=2 groups=2\nrelu\nmaxpool k=3 stride=2\nlrn\nlrn name=norm2",
+		"input 1x8x8\nbatchnorm channels=-1\nresblock filters=70000 stride=2",
+		"input 1x8x8\ndropout rate=0.5\navgpool k=2\ngap\nsoftmax # end",
+		"conv filters=4", "   \n# only comments\n", "input 3x32", "input 1x8x8\ninception 1 2 3",
+		"input 1x8x8\nconv filters= k=x",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		net, err := ParseSpec("fuzz", spec)
+		if err == nil {
+			if net == nil {
+				t.Fatal("nil net without an error")
+			}
+			return
+		}
+		if err.Error() == "models: empty specification" {
+			return
+		}
+		var line int
+		if _, scan := fmt.Sscanf(err.Error(), "models: line %d:", &line); scan != nil || line < 1 || line > strings.Count(spec, "\n")+1 {
+			t.Fatalf("error names no line of the spec: %v", err)
+		}
+	})
 }
 
 func TestParseSpecCommentsAndWhitespace(t *testing.T) {

@@ -64,32 +64,75 @@ func (l *LRN) Kind() string { return "lrn" }
 // OutShape implements Layer.
 func (l *LRN) OutShape(in Shape) Shape { return in }
 
-// Forward implements Layer.
+// Forward implements Layer. Each output is float32(x / b^β) with
+// b = K + α/Size·Σv², the sum over the Size channels centred on x's
+// (clipped at the edges), in float64 from +0 in ascending channel order.
+// With β = 0.75 almost every element takes lrnQuot's two square roots;
+// the rest, and every other β, take math.Pow. Both give the same bits.
 func (l *LRN) Forward(in *tensor.Tensor, ws *Workspace) *tensor.Tensor {
 	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
 	out := wsAcquire(ws, c, h, w)
 	plane := h * w
 	half := l.Size / 2
-	for y := 0; y < plane; y++ {
-		for ch := 0; ch < c; ch++ {
-			lo := ch - half
-			if lo < 0 {
-				lo = 0
-			}
-			hi := ch + half
-			if hi >= c {
-				hi = c - 1
-			}
+	k, a := l.K, l.Alpha/float64(l.Size)
+	fast := l.Beta == 0.75
+	for ch := 0; ch < c; ch++ {
+		lo, hi := max(ch-half, 0), min(ch+half, c-1)
+		src := in.Data[ch*plane : (ch+1)*plane]
+		dst := out.Data[ch*plane : (ch+1)*plane]
+		for y, v := range src {
 			var ss float64
 			for j := lo; j <= hi; j++ {
-				v := float64(in.Data[j*plane+y])
-				ss += v * v
+				u := float64(in.Data[j*plane+y])
+				ss += u * u
 			}
-			denom := math.Pow(l.K+l.Alpha/float64(l.Size)*ss, l.Beta)
-			out.Data[ch*plane+y] = float32(float64(in.Data[ch*plane+y]) / denom)
+			// The one base both routes take: on arm64 the compiler may
+			// fuse this expression, so it must not be written twice.
+			b := k + a*ss
+			x := float64(v)
+			if fast {
+				if q, ok := lrnQuot(x, b); ok {
+					dst[y] = float32(q)
+					continue
+				}
+			}
+			dst[y] = float32(x / math.Pow(b, l.Beta))
 		}
 	}
 	return out
+}
+
+// lrnMargin is how near, in float64 ulps, lrnQuot lets its quotient come
+// to a float32 rounding midpoint before it declines. lrnQuot's quotient
+// and x/math.Pow(b, 0.75) are both within a few ulps of the exact
+// x/b^0.75 for b in [1, 2⁶⁴]:
+//   - lrnQuot: two correctly rounded square roots, one product and one
+//     division, at most 4.5·2⁻⁵³ relative;
+//   - math.Pow(b, 0.75) is Exp(−0.25·Log(b)) times b's Frexp mantissa.
+//     Log(b) ≤ 44.4 is within 1 ulp (2⁻⁴⁷), so the exponent is within
+//     2⁻⁴⁹ and Exp's result within 2⁻⁴⁹ + 2⁻⁵²; with the product and the
+//     division, at most 20·2⁻⁵³.
+//
+// So the two differ by at most 25 ulps; over 5M random pairs the largest
+// gap was 11. float32 rounds both alike unless a midpoint lies between
+// them. 2¹² ulps clear of every midpoint leaves 160× headroom on the
+// bound and declines about 1 quotient in 65,000.
+const lrnMargin = 1 << 12
+
+// lrnQuot returns q = x/b^0.75, computed as x/(√b·√√b), and true when
+// float32(q) is certain to equal float32(x/math.Pow(b, 0.75)): b is in
+// [1, 2⁶⁴], q is ±0 or in float32's normal range, and the 29 low mantissa
+// bits of q, the ones float32 rounding drops, lie more than lrnMargin
+// from 1<<28, the bit pattern of a round-half point. Otherwise, and for
+// NaN or Inf, it returns false.
+func lrnQuot(x, b float64) (float64, bool) {
+	s := math.Sqrt(b)
+	q := x / (s * math.Sqrt(s))
+	// Biased float64 exponents 1023−126 … 1023+127 are float32-normal.
+	u := math.Float64bits(q) &^ (1 << 63)
+	ok := b >= 1 && b <= 0x1p64 && (u == 0 ||
+		u>>52-(1023-126) <= 253 && u&(1<<29-1)-(1<<28-lrnMargin) > 2*lrnMargin)
+	return q, ok
 }
 
 // Cost implements Layer. LRN does ~Size multiply-adds plus a pow per element.

@@ -161,7 +161,7 @@ func TestNetForwardZeroAllocs(t *testing.T) {
 }
 
 // TestLayerForwardZeroAllocs asserts zero steady-state allocations for the
-// individual conv (dense and CSR), FC and pool forward paths.
+// individual conv (dense and CSR), FC, pool and LRN forward paths.
 func TestLayerForwardZeroAllocs(t *testing.T) {
 	in := testImage(Shape{C: 4, H: 16, W: 16})
 
@@ -198,6 +198,7 @@ func TestLayerForwardZeroAllocs(t *testing.T) {
 		{"pool", pool, in},
 		{"pool-padded", padded, in},
 		{"fc", fc, flat},
+		{"lrn", NewLRN("n"), in},
 	}
 	for _, c := range cases {
 		ws := NewWorkspace()

@@ -58,6 +58,12 @@ go test -run - -fuzz '^FuzzParseConfig$' -fuzztime 10s ./internal/cloud
 echo "== fuzz ParseSpecs (10s)"
 go test -run - -fuzz '^FuzzParseSpecs$' -fuzztime 10s ./internal/tenant
 
+# Custom architectures (`ccperf spec -file`: conv, pool, lrn, inception
+# and other directives) parse through models.ParseSpec; fuzz it (no
+# panic; every error names its line or is the empty-spec error).
+echo "== fuzz ParseSpec (10s)"
+go test -run - -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/models
+
 echo "== bench smoke (go test -run - -bench . -benchtime 1x)"
 mkdir -p out
 # One iteration of every benchmark: each must run and terminate at b.N = 1.
@@ -106,9 +112,11 @@ go run -race ./cmd/ccperf loadtest \
 # autoscale_smoke LOG ARGS...: run `ccperf loadtest ARGS` under -race,
 # print its output, and fail unless it exits zero (its budget and p99
 # gates) and its autoscale ledger shows at least one scale-out, one
-# degrade and one restore. A 1 ms SLO is violated on any host, so the loop
-# must scale out and then degrade while traffic flows; the idle cooldown
-# (more than five ticks) must bring a rung back.
+# scale-in, one degrade and one restore. A 1 ms SLO is violated on any
+# host, so the loop must scale out and then degrade while traffic flows.
+# In the idle cooldown it restores every rung, one per three healthy
+# ticks, before it hands a replica back, so the cooldown must outlast
+# every restore: 3 s is 30 ticks.
 autoscale_smoke() {
     log=$1
     shift
@@ -117,22 +125,22 @@ autoscale_smoke() {
     cat "$log"
     [ "$status" -eq 0 ] || exit "$status"
     ledger=$(grep '^autoscale:' "$log" || true)
-    if ! echo "$ledger" | awk 'NF >= 10 && $4 >= 1 && $8 >= 1 && $10 >= 1 { ok = 1 } END { exit !ok }'; then
-        echo "autoscale smoke never acted on both axes: ${ledger:-no ledger}" >&2
+    if ! echo "$ledger" | awk 'NF >= 10 && $4 >= 1 && $6 >= 1 && $8 >= 1 && $10 >= 1 { ok = 1 } END { exit !ok }'; then
+        echo "autoscale smoke did not scale out, scale in, degrade and restore: ${ledger:-no ledger}" >&2
         exit 1
     fi
 }
 
-echo "== autoscale smoke (cost-accuracy loop; must scale out, degrade and restore; exits non-zero past the budget or p99 gate)"
+echo "== autoscale smoke (cost-accuracy loop; must scale out, scale in, degrade and restore; exits non-zero past the budget or p99 gate)"
 autoscale_smoke out/autoscale-smoke.txt \
     -requests 300 -duration 2s -windows 4 \
-    -queue 64 -max-batch 4 -slo 1ms -deadline 500ms -cooldown 1s \
+    -queue 64 -max-batch 4 -slo 1ms -deadline 500ms -cooldown 3s \
     -autoscale -budget 2.7 -min-replicas 1 -max-replicas 3 \
     -autoscale-interval 100ms -max-p99 2s
 
-echo "== tenant autoscale smoke (the same loop on a two-tenant gateway; must scale out, degrade and restore)"
+echo "== tenant autoscale smoke (the same loop on a two-tenant gateway; must scale out, scale in, degrade and restore)"
 autoscale_smoke out/tenant-autoscale-smoke.txt \
-    -tenants examples/tenants-violating.json -duration 2s -max-batch 4 -cooldown 1s \
+    -tenants examples/tenants-violating.json -duration 2s -max-batch 4 -cooldown 3s \
     -autoscale -budget 2.7 -min-replicas 1 -max-replicas 3 \
     -autoscale-interval 100ms -max-p99 2s
 
