@@ -44,6 +44,7 @@ import (
 	"ccperf/internal/prune"
 	"ccperf/internal/report"
 	"ccperf/internal/serving"
+	"ccperf/internal/shard"
 	"ccperf/internal/telemetry"
 	"ccperf/internal/tenant"
 	"ccperf/internal/train"
@@ -543,9 +544,12 @@ func parseRatios(spec string) ([]float64, error) {
 	return ratios, nil
 }
 
-// loadtestCmd replays a compressed-day trace open-loop against an
-// in-process serving gateway (dynamic batching, bounded admission,
-// load-adaptive pruning) and prints the latency/accuracy/cost report.
+// loadtestCmd replays arrivals open-loop against an in-process fleet and
+// prints the latency/accuracy/cost report. The fleet is one gateway,
+// hosting one -ladder model or the -tenants of a spec file, or with
+// -shards N gateways over -regions behind the consistent-hash router.
+// Every fleet runs the one driver, serving.RunLoad, and shares its
+// printer, envelope and exit gates.
 func loadtestCmd(args []string) error {
 	fs := newFlagSet("loadtest", "replay a compressed-day trace against the online gateway and report latency/accuracy/cost")
 	requests := fs.Int64("requests", 2000, "total requests replayed")
@@ -584,6 +588,7 @@ func loadtestCmd(args []string) error {
 	metricsOut, traceOut := telemetryFlags(fs)
 	fs.Parse(args)
 
+	// Every flag is checked before anything is built.
 	pat, err := parsePattern(*pattern)
 	if err != nil {
 		return err
@@ -599,41 +604,42 @@ func loadtestCmd(args []string) error {
 			{Kind: fault.Errors, Target: fault.AllTargets, Rate: 0.02},
 		}}
 	}
-	if *shards > 0 {
+	ratios, err := parseRatios(*ladderSpec)
+	if err != nil {
+		return err
+	}
+	var (
+		specs   []tenant.Spec
+		regions []cloud.Region
+		shapes  []workload.Shape
+		weights []float64
+	)
+	switch {
+	case *shards > 0:
 		if *tenantsSpec != "" {
 			return fmt.Errorf("loadtest: -shards and -tenants are mutually exclusive")
 		}
 		if *autoscaleOn {
 			return fmt.Errorf("loadtest: -shards replaces -autoscale with the regional balancer; use -balance")
 		}
-		return shardLoadtest(shardLoadtestOpts{
-			shards:       *shards,
-			regionsSpec:  *regionsSpec,
-			requests:     *requests,
-			duration:     *duration,
-			seed:         *seed,
-			replicas:     *replicas,
-			queueCap:     *queueCap,
-			maxBatch:     *maxBatch,
-			batchTimeout: *batchTimeout,
-			slo:          *slo,
-			deadline:     *deadline,
-			cooldown:     *cooldown,
-			ladderSpec:   *ladderSpec,
-			instance:     *instance,
-			faults:       faults,
-			shapeSpec:    *shapeSpec,
-			originSpec:   *originWeights,
-			originCorr:   *originCorr,
-			balance:      *balance,
-			interval:     *balanceInterval,
-			maxP99:       *maxP99,
-			maxErrorRate: *maxErrorRate,
-			reportOut:    *reportOut,
-			metricsOut:   *metricsOut,
-			traceOut:     *traceOut,
-		})
+		if regions, err = cloud.ParseRegions(*regionsSpec); err != nil {
+			return fmt.Errorf("loadtest: -regions: %w", err)
+		}
+		if shapes, err = workload.ParseShapes(*shapeSpec); err != nil {
+			return fmt.Errorf("loadtest: -shape: %w", err)
+		}
+		if weights, err = workload.ParseOriginWeights(*originWeights, len(regions)); err != nil {
+			return fmt.Errorf("loadtest: -origin-weights: %w", err)
+		}
+	case *tenantsSpec != "":
+		if err := rejectWithTenants(fs, "ladder", "queue", "slo", "deadline"); err != nil {
+			return err
+		}
+		if specs, err = tenant.LoadSpecs(*tenantsSpec); err != nil {
+			return fmt.Errorf("loadtest: -tenants: %w", err)
+		}
 	}
+
 	opts := []ccperf.Option{
 		ccperf.WithGateway(),
 		ccperf.WithReplicas(*replicas),
@@ -641,33 +647,16 @@ func loadtestCmd(args []string) error {
 		ccperf.WithBatchTimeout(*batchTimeout),
 		ccperf.WithInstance(*instance),
 	}
-	var specs []tenant.Spec
-	var trace *workload.Trace
-	if *tenantsSpec != "" {
-		if err := rejectWithTenants(fs, "ladder", "queue", "slo", "deadline"); err != nil {
-			return err
-		}
-		if specs, err = tenant.LoadSpecs(*tenantsSpec); err != nil {
-			return fmt.Errorf("loadtest: -tenants: %w", err)
-		}
+	if specs != nil {
 		opts = append(opts, ccperf.WithTenants(specs))
 	} else {
 		opts = append(opts, ccperf.WithQueueCap(*queueCap), ccperf.WithSLO(*slo), ccperf.WithDeadline(*deadline))
-		trace, err = workload.Generate(workload.Config{
-			Pattern: pat, DailyTotal: *requests, Windows: *windows, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-		ratios, err := parseRatios(*ladderSpec)
-		if err != nil {
-			return err
-		}
 		if len(ratios) > 0 {
 			opts = append(opts, ccperf.WithLadder(ratios...))
 		}
 	}
-	if len(faults.Events) > 0 {
+	// Behind the router each shard's gateway takes its region's faults.
+	if len(faults.Events) > 0 && *shards == 0 {
 		opts = append(opts, ccperf.WithInjector(faults))
 	}
 	if *autoscaleOn {
@@ -681,45 +670,87 @@ func loadtestCmd(args []string) error {
 		return err
 	}
 	g, inst, resolved := st.Gateway(), st.Instance(), st.Gateway().Config()
-	st.Start()
-	// The exit gates read the error rate and p99 of the run (of its
-	// weakest tenant, with -tenants: a mean would let a noisy neighbor
-	// hide a starved one).
-	var payload struct {
-		Report       *serving.Report   `json:"report,omitempty"`
-		TenantReport *tenant.Report    `json:"tenant_report,omitempty"`
-		Gateway      serving.Stats     `json:"gateway"`
-		Autoscale    *autoscale.Status `json:"autoscale,omitempty"`
-	}
-	var errRate, p99MS, wall float64
-	var text string
-	if specs != nil {
-		rep, runErr := tenant.RunLoad(g, specs, tenant.LoadConfig{
-			Duration: *duration, Seed: *seed, Cooldown: *cooldown, Scaler: st.Scaler(),
-		})
-		st.Close()
-		if runErr != nil {
-			return runErr
+
+	// The replay: a target, its arrivals, and how to start and stop it.
+	var (
+		target   serving.Target = g
+		arrivals []serving.Arrival
+		router   *shard.Target
+		start    = st.Start
+		stop     = st.Close
+	)
+	switch {
+	case *shards > 0:
+		// The opened gateway is the template: each shard's gateway runs
+		// its config and shares its ladder (nets are read-only on the
+		// forward path, so the fleet costs one ladder's memory).
+		base := resolved
+		base.ExternalControl = *balance // the regional balancer owns the ladders when it runs
+		fleet, err := shard.BuildFleet(base, *shards, regions, faults)
+		if err != nil {
+			return err
 		}
-		payload.TenantReport, errRate, wall, text = rep, rep.ErrorRate(), rep.WallSeconds, rep.String()
-		for i := range rep.Tenants {
-			p99MS = max(p99MS, rep.Tenants[i].P99MS)
+		r, err := shard.NewRouter(shard.Config{Shards: fleet})
+		if err != nil {
+			return err
+		}
+		arrivals = serving.ShapedArrivals(*requests, *duration, shapes, *seed)
+		if router, err = shard.NewTarget(r, len(arrivals), weights, *originCorr, *seed); err != nil {
+			return fmt.Errorf("loadtest: -origin-weights: %w", err)
+		}
+		var bal *shard.Balancer
+		if *balance {
+			if bal, err = shard.NewBalancer(r, autoscale.RegionalPolicy{SLOSeconds: slo.Seconds()}, faults, *balanceInterval); err != nil {
+				return err
+			}
+		}
+		target = router
+		start = func() {
+			for _, s := range fleet {
+				s.Gateway.Start()
+			}
+			r.Start()
+			if bal != nil {
+				bal.Start()
+			}
+		}
+		stop = func() {
+			if bal != nil {
+				bal.Stop()
+			}
+			r.Stop()
+			for _, s := range fleet {
+				s.Gateway.Stop()
+			}
+			st.Close()
+		}
+		names := make([]string, len(regions))
+		for i, reg := range regions {
+			names[i] = reg.Name
+		}
+		fmt.Printf("fleet    : %d shards over %s, %d replicas × batch ≤%d each, ladder %d rungs (%s pricing)\n",
+			*shards, strings.Join(names, "+"), resolved.Replicas, resolved.MaxBatch, len(resolved.Ladder), inst.Name)
+		fmt.Printf("workload : %d requests over %s, shape %s, origin corr %.2f, seed %d\n",
+			*requests, *duration, workload.ShapeLabel(shapes), *originCorr, *seed)
+		if *balance {
+			fmt.Println("balance  : regional shift-before-degrade loop on")
+		}
+	case specs != nil:
+		if arrivals, err = tenant.Arrivals(specs, *duration, *seed); err != nil {
+			return err
 		}
 		fmt.Printf("fleet    : %d tenants sharing %d replicas × batch ≤%d (%s pricing each), %s replay\n",
 			len(g.Tenants()), resolved.Replicas, resolved.MaxBatch, inst.Name, *duration)
-	} else {
-		rep, runErr := serving.RunLoad(g, serving.LoadConfig{
-			Trace:    trace,
-			Duration: *duration,
-			Seed:     *seed,
-			Deadline: *deadline,
-			Cooldown: *cooldown,
+	default:
+		trace, err := workload.Generate(workload.Config{
+			Pattern: pat, DailyTotal: *requests, Windows: *windows, Seed: *seed,
 		})
-		st.Close()
-		if runErr != nil {
-			return runErr
+		if err != nil {
+			return err
 		}
-		payload.Report, errRate, p99MS, wall, text = rep, rep.ErrorRate(), rep.P99MS, rep.WallSeconds, rep.String()
+		if arrivals, err = serving.TraceArrivals(trace, *duration, *seed); err != nil {
+			return err
+		}
 		fmt.Printf("trace    : %s, %d requests over %d windows in %s (peak window %d)\n",
 			pat, trace.Total(), len(trace.Windows), *duration, trace.Peak())
 		fmt.Printf("gateway  : %d initial replicas × batch ≤%d, queue %d, SLO %s, ladder %d variants\n",
@@ -728,25 +759,68 @@ func loadtestCmd(args []string) error {
 	if len(faults.Events) > 0 {
 		fmt.Printf("chaos    : %s\n", faults.String())
 	}
-	fmt.Print(text)
 
-	payload.Gateway = g.Stats()
-	if as := st.Scaler(); as != nil {
-		s := as.Status()
-		payload.Autoscale = &s
-		rungs := make([]int, len(payload.Gateway.Tenants))
-		for i, t := range payload.Gateway.Tenants {
-			rungs[i] = t.Variant
-		}
-		fmt.Printf("autoscale: %d ticks: %d scale-outs, %d scale-ins, %d degrades, %d restores\n",
-			s.Ticks, s.ScaleOuts, s.ScaleIns, s.Degrades, s.Restores)
-		fmt.Printf("fleet    : %d replicas final (allowed %d–%d), rungs %v; last: %s\n",
-			s.Replicas, *minReplicas, *maxReplicas, rungs, s.LastDecision.Reason)
-		fmt.Printf("cost     : $%.4f realized (%.1f replica-seconds of %s; budget $%.2f/h)\n",
-			s.Cost, s.ReplicaSeconds, inst.Name, s.BudgetPerHour)
+	start()
+	rep, err := serving.RunLoad(target, arrivals, serving.LoadConfig{Seed: *seed, Deadline: *deadline, Cooldown: *cooldown})
+	stop()
+	if err != nil {
+		return err
+	}
+	fmt.Print(rep.String())
+
+	payload := struct {
+		Report    *serving.Report   `json:"report"`
+		Gateway   *serving.Stats    `json:"gateway,omitempty"`
+		Stages    *serving.Stages   `json:"stages,omitempty"`
+		Autoscale *autoscale.Status `json:"autoscale,omitempty"`
+		Router    *shard.Report     `json:"router,omitempty"`
+	}{Report: rep}
+	if router != nil {
+		payload.Router = router.Bill(rep, faults, inst)
+		fmt.Print(payload.Router.FrontierTable(rep))
 	} else {
-		fmt.Printf("cost     : $%.4f (%.1f replica-seconds of %s)\n",
-			inst.PricePerSecond()*g.ReplicaSeconds(), g.ReplicaSeconds(), inst.Name)
+		gs, stages := g.Stats(), g.StageStats()
+		payload.Gateway, payload.Stages = &gs, &stages
+		fmt.Printf("gateway  : %d degradations, %d restorations, %d retries, %d breaker opens\n",
+			gs.Degrades, gs.Restores, gs.Retries, gs.BreakerOpens)
+		if len(gs.Tenants) > 1 {
+			for _, t := range gs.Tenants {
+				onTime := 0.0
+				if t.Served > 0 {
+					onTime = float64(t.OnTime) / float64(t.Served)
+				}
+				fmt.Printf("gateway  : %-10s SLO %.0f ms, %.1f%% on-time, rung %d of %d, %d degrades, %d restores\n",
+					t.Name, t.SLOMS, onTime*100, t.Variant, len(g.Ladder(t.Name)), t.Degrades, t.Restores)
+			}
+		}
+		fmt.Printf("stages   : queue p99 %.1f ms, assembly p99 %.1f ms, forward p99 %.1f ms\n",
+			stages.QueueWait.P99MS, stages.BatchAssembly.P99MS, stages.NNForward.P99MS)
+		if as := st.Scaler(); as != nil {
+			s := as.Status()
+			payload.Autoscale = &s
+			rungs := make([]int, len(gs.Tenants))
+			for i, t := range gs.Tenants {
+				rungs[i] = t.Variant
+			}
+			fmt.Printf("autoscale: %d ticks: %d scale-outs, %d scale-ins, %d degrades, %d restores\n",
+				s.Ticks, s.ScaleOuts, s.ScaleIns, s.Degrades, s.Restores)
+			fmt.Printf("fleet    : %d replicas final (allowed %d–%d), rungs %v; last: %s\n",
+				s.Replicas, *minReplicas, *maxReplicas, rungs, s.LastDecision.Reason)
+			fmt.Printf("cost     : $%.4f realized (%.1f replica-seconds of %s; budget $%.2f/h)\n",
+				s.Cost, s.ReplicaSeconds, inst.Name, s.BudgetPerHour)
+			if len(s.Tenants) > 1 {
+				if s.DegradedFirst != "" {
+					fmt.Printf("joint    : degraded first: %s; next in line: %v\n", s.DegradedFirst, s.DegradeOrder)
+				}
+				for _, tc := range s.Tenants {
+					fmt.Printf("joint    : %-10s share %.0f%%, $%.4f attributed, $%.2f/M on-time (%d on-time)\n",
+						tc.Name, tc.Share*100, tc.CostUSD, tc.DollarsPerMillionOnTime, tc.OnTime)
+				}
+			}
+		} else {
+			fmt.Printf("cost     : $%.4f (%.1f replica-seconds of %s)\n",
+				inst.PricePerSecond()*gs.ReplicaSeconds, gs.ReplicaSeconds, inst.Name)
+		}
 	}
 
 	if *reportOut != "" {
@@ -759,21 +833,23 @@ func loadtestCmd(args []string) error {
 		return err
 	}
 
-	// Exit gates, in order of severity: error rate, latency, budget.
-	if errRate > *maxErrorRate {
+	// Exit gates, in order of severity: error rate, latency, budget. The
+	// first two read the weakest tenant (with one tenant, the totals): a
+	// mean would let a noisy neighbor hide a starved one.
+	if rate := rep.ErrorRate(); rate > *maxErrorRate {
 		return fmt.Errorf("loadtest: error rate %.2f%% exceeds -max-error-rate %.2f%%",
-			errRate*100, *maxErrorRate*100)
+			rate*100, *maxErrorRate*100)
 	}
-	if *maxP99 > 0 && p99MS > maxP99.Seconds()*1000 {
-		return fmt.Errorf("loadtest: p99 %.1fms exceeds -max-p99 %s", p99MS, *maxP99)
+	if p99 := rep.WorstP99MS(); *maxP99 > 0 && p99 > maxP99.Seconds()*1000 {
+		return fmt.Errorf("loadtest: p99 %.1fms exceeds -max-p99 %s", p99, *maxP99)
 	}
 	if as := payload.Autoscale; as != nil && *budget > 0 {
 		// The realized spend may not exceed the hourly budget pro-rated over
 		// the wall clock (5% slack covers the final partial tick).
-		allowed := *budget / 3600 * wall * 1.05
+		allowed := *budget / 3600 * rep.WallSeconds * 1.05
 		if as.Cost > allowed {
 			return fmt.Errorf("loadtest: realized cost $%.4f exceeds the $%.2f/h budget over %.2fs ($%.4f allowed)",
-				as.Cost, *budget, wall, allowed)
+				as.Cost, *budget, rep.WallSeconds, allowed)
 		}
 	}
 	return nil
@@ -956,6 +1032,7 @@ func loadtestBenchResults(path string) ([]telemetry.BenchResult, error) {
 	}
 	var payload struct {
 		Report *serving.Report `json:"report"`
+		Stages *serving.Stages `json:"stages"`
 	}
 	if err := env.Decode(report.KindLoadtest, &payload); err != nil {
 		return nil, fmt.Errorf("benchjson: %s: %w", path, err)
@@ -973,7 +1050,7 @@ func loadtestBenchResults(path string) ([]telemetry.BenchResult, error) {
 			"p99-ms": rep.P99MS,
 		},
 	}}
-	if s := rep.Stages; s != nil {
+	if s := payload.Stages; s != nil {
 		for _, st := range []struct {
 			name string
 			sum  serving.StageSummary

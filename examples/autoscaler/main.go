@@ -19,7 +19,7 @@ import (
 	"ccperf/internal/workload"
 )
 
-func replay(budget float64, maxReplicas int, trace *workload.Trace) {
+func replay(budget float64, maxReplicas int, arrivals []serving.Arrival) {
 	st, err := ccperf.Open(ccperf.Caffenet,
 		ccperf.WithLadder(0, 0.5, 0.9),
 		ccperf.WithSLO(30*time.Millisecond),
@@ -30,9 +30,7 @@ func replay(budget float64, maxReplicas int, trace *workload.Trace) {
 		log.Fatal(err)
 	}
 	st.Start()
-	rep, err := serving.RunLoad(st.Gateway(), serving.LoadConfig{
-		Trace:    trace,
-		Duration: 3 * time.Second,
+	rep, err := serving.RunLoad(st.Gateway(), arrivals, serving.LoadConfig{
 		Seed:     42,
 		Cooldown: 300 * time.Millisecond,
 	})
@@ -65,10 +63,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	arrivals, err := serving.TraceArrivals(trace, 3*time.Second, 42)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("== Money available: buy capacity, keep accuracy ==")
-	replay(6.0, 6, trace) // up to 6 replicas fit under $6/h
+	replay(6.0, 6, arrivals) // up to 6 replicas fit under $6/h
 
 	fmt.Println("== Budget binds: the pruning ladder absorbs the surge ==")
-	replay(0.9, 6, trace) // $0.9/h = exactly one p2.xlarge
+	replay(0.9, 6, arrivals) // $0.9/h = exactly one p2.xlarge
 }

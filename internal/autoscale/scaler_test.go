@@ -204,9 +204,12 @@ func TestE2ELoadtestHoldsBudgetAndSLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := serving.RunLoad(g, serving.LoadConfig{
-		Trace: trace, Duration: duration, Seed: 42,
-		Cooldown: 200 * time.Millisecond,
+	arrivals, err := serving.TraceArrivals(trace, duration, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := serving.RunLoad(g, arrivals, serving.LoadConfig{
+		Seed: 42, Cooldown: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

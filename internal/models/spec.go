@@ -31,6 +31,7 @@ import (
 // auto-generated (`conv3`, `pool5`, …) when omitted.
 func ParseSpec(name, spec string) (*nn.Net, error) {
 	var net *nn.Net
+	var shape nn.Shape // the output shape of the layers so far
 	lineNo := 0
 	auto := 0
 	autoName := func(kind string) string {
@@ -59,8 +60,7 @@ func ParseSpec(name, spec string) (*nn.Net, error) {
 			if len(pos) != 1 {
 				return nil, fmt.Errorf("models: line %d: input wants CxHxW", lineNo)
 			}
-			shape, err := parseShape(pos[0])
-			if err != nil {
+			if shape, err = parseShape(pos[0]); err != nil {
 				return nil, fmt.Errorf("models: line %d: %w", lineNo, err)
 			}
 			net = nn.NewNet(name, shape)
@@ -69,6 +69,10 @@ func ParseSpec(name, spec string) (*nn.Net, error) {
 		layer, err := buildLayer(directive, args, pos, autoName)
 		if err != nil {
 			return nil, fmt.Errorf("models: line %d: %w", lineNo, err)
+		}
+		shape = layer.OutShape(shape)
+		if shape.C < 1 || shape.H < 1 || shape.W < 1 {
+			return nil, fmt.Errorf("models: line %d: %s outputs %dx%dx%d, a dimension below 1", lineNo, layer.Name(), shape.C, shape.H, shape.W)
 		}
 		net.Add(layer)
 	}
@@ -126,17 +130,28 @@ func intArg(args map[string]string, key string, def int) (int, error) {
 	return n, nil
 }
 
-// maxWidth bounds the channel counts a spec can give the layers whose
-// constructors allocate per channel (batchnorm, resblock): a negative
-// count would panic, and a huge one exhaust memory, before Init.
+// maxWidth bounds every integer a layer takes: channel counts, where the
+// constructors that allocate per channel (batchnorm, resblock) would
+// panic on a negative count, and exhaust memory on a huge one, before
+// Init; and kernels, strides, groups and pads, which must leave the
+// output shape computable.
 const maxWidth = 1 << 16
 
-// checkWidth rejects a channel count outside [1, maxWidth].
-func checkWidth(key string, n int) error {
-	if n < 1 || n > maxWidth {
-		return fmt.Errorf("argument %s=%d out of [1, %d]", key, n, maxWidth)
+// checkRange rejects an argument outside [lo, maxWidth].
+func checkRange(key string, n, lo int) error {
+	if n < lo || n > maxWidth {
+		return fmt.Errorf("argument %s=%d out of [%d, %d]", key, n, lo, maxWidth)
 	}
 	return nil
+}
+
+// boundedArg is intArg limited to [lo, maxWidth].
+func boundedArg(args map[string]string, key string, def, lo int) (int, error) {
+	n, err := intArg(args, key, def)
+	if err != nil {
+		return 0, err
+	}
+	return n, checkRange(key, n, lo)
 }
 
 func buildLayer(directive string, args map[string]string, pos []string, autoName func(string) string) (nn.Layer, error) {
@@ -146,23 +161,23 @@ func buildLayer(directive string, args map[string]string, pos []string, autoName
 		if name == "" {
 			name = autoName("conv")
 		}
-		filters, err := intArg(args, "filters", -1)
+		filters, err := boundedArg(args, "filters", -1, 1)
 		if err != nil {
 			return nil, err
 		}
-		k, err := intArg(args, "k", 3)
+		k, err := boundedArg(args, "k", 3, 1)
 		if err != nil {
 			return nil, err
 		}
-		stride, err := intArg(args, "stride", 1)
+		stride, err := boundedArg(args, "stride", 1, 1)
 		if err != nil {
 			return nil, err
 		}
-		pad, err := intArg(args, "pad", (k-1)/2)
+		pad, err := boundedArg(args, "pad", (k-1)/2, 0)
 		if err != nil {
 			return nil, err
 		}
-		groups, err := intArg(args, "groups", 1)
+		groups, err := boundedArg(args, "groups", 1, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +186,7 @@ func buildLayer(directive string, args map[string]string, pos []string, autoName
 		if name == "" {
 			name = autoName("fc")
 		}
-		out, err := intArg(args, "out", -1)
+		out, err := boundedArg(args, "out", -1, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -180,11 +195,11 @@ func buildLayer(directive string, args map[string]string, pos []string, autoName
 		if name == "" {
 			name = autoName("pool")
 		}
-		k, err := intArg(args, "k", 2)
+		k, err := boundedArg(args, "k", 2, 1)
 		if err != nil {
 			return nil, err
 		}
-		stride, err := intArg(args, "stride", k)
+		stride, err := boundedArg(args, "stride", k, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +230,7 @@ func buildLayer(directive string, args map[string]string, pos []string, autoName
 		if err != nil {
 			return nil, fmt.Errorf("batchnorm requires channels=N (the spec parser cannot infer it)")
 		}
-		if err := checkWidth("channels", c); err != nil {
+		if err := checkRange("channels", c, 1); err != nil {
 			return nil, err
 		}
 		if name == "" {
@@ -265,14 +280,11 @@ func buildLayer(directive string, args map[string]string, pos []string, autoName
 		if name == "" {
 			name = autoName("res")
 		}
-		filters, err := intArg(args, "filters", -1)
+		filters, err := boundedArg(args, "filters", -1, 1)
 		if err != nil {
 			return nil, err
 		}
-		if err := checkWidth("filters", filters); err != nil {
-			return nil, err
-		}
-		stride, err := intArg(args, "stride", 1)
+		stride, err := boundedArg(args, "stride", 1, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -104,6 +104,11 @@ func TestParseSpecErrors(t *testing.T) {
 		"bn channels < 1":   "input 1x8x8\nbatchnorm channels=-1",
 		"bn huge channels":  "input 1x8x8\nbatchnorm channels=99999999999",
 		"res filters < 1":   "input 1x8x8\nresblock filters=0",
+		"pool stride 0":     "input 3x8x8\nmaxpool k=2 stride=0",
+		"conv stride < 0":   "input 3x8x8\nconv filters=4 k=3 stride=-1",
+		"conv k 0":          "input 3x8x8\nconv filters=4 k=0",
+		"fc out 0":          "input 3x8x8\nflatten\nfc out=0",
+		"pool past input":   "input 3x8x8\nmaxpool k=17 stride=1",
 		"bad dropout":       "input 1x8x8\ndropout rate=2",
 		"empty spec":        "   \n# only comments\n",
 		"malformed kv":      "input 1x8x8\nconv filters=",
@@ -115,9 +120,11 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
-// FuzzParseSpec checks that no spec text panics ParseSpec and that every
-// error names a line of the spec, or is the empty-spec error. It does not
-// Init the nets it builds: the fuzzer would size their weights.
+// FuzzParseSpec checks that no spec text panics ParseSpec, that every
+// error names a line of the spec, or is the empty-spec error, and that
+// every layer of an accepted spec outputs a shape with every dimension at
+// least 1. It does not Init the nets it builds: the fuzzer would size
+// their weights.
 func FuzzParseSpec(f *testing.F) {
 	for _, s := range []string{
 		goodSpec,
@@ -135,6 +142,12 @@ func FuzzParseSpec(f *testing.F) {
 		if err == nil {
 			if net == nil {
 				t.Fatal("nil net without an error")
+			}
+			shape := net.Input
+			for _, l := range net.Layers() {
+				if shape = l.OutShape(shape); shape.C < 1 || shape.H < 1 || shape.W < 1 {
+					t.Fatalf("layer %s outputs %+v", l.Name(), shape)
+				}
 			}
 			return
 		}

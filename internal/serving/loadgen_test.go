@@ -90,9 +90,11 @@ func TestRunLoadReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunLoad(g, LoadConfig{
-		Trace:    trace,
-		Duration: 300 * time.Millisecond,
+	arrivals, err := TraceArrivals(trace, 300*time.Millisecond, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunLoad(g, arrivals, LoadConfig{
 		Seed:     11,
 		Deadline: 2 * time.Second,
 		Cooldown: 50 * time.Millisecond,
@@ -138,12 +140,11 @@ func TestRunLoadReport(t *testing.T) {
 }
 
 func TestRunLoadValidation(t *testing.T) {
-	g := testGateway(t, Config{})
-	if _, err := RunLoad(g, LoadConfig{}); err == nil {
+	if _, err := TraceArrivals(nil, time.Second, 1); err == nil {
 		t.Fatal("expected error for missing trace")
 	}
 	tr := &workload.Trace{Windows: []int64{1}}
-	if _, err := RunLoad(g, LoadConfig{Trace: tr}); err == nil {
+	if _, err := TraceArrivals(tr, 0, 1); err == nil {
 		t.Fatal("expected error for missing duration")
 	}
 }
@@ -159,7 +160,11 @@ func TestLoadTestLeavesNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunLoad(g, LoadConfig{Trace: trace, Duration: 100 * time.Millisecond, Seed: 2}); err != nil {
+	arrivals, err := TraceArrivals(trace, 100*time.Millisecond, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunLoad(g, arrivals, LoadConfig{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
 	g.Stop()

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ccperf/internal/telemetry"
-	"ccperf/internal/workload"
 )
 
 // twoTenants builds a tenant list of two demo ladders, "a" and "b".
@@ -162,28 +161,6 @@ func TestHTTPDeadlineBounds(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Errorf("deadline_ms %v: status %d, want %d", c.ms, resp.StatusCode, c.want)
 		}
-	}
-}
-
-// TestRunLoadCountsEveryOutcome: a replay against a stopped gateway is all
-// errors, and the outcomes sum to the submissions.
-func TestRunLoadCountsEveryOutcome(t *testing.T) {
-	g := testGateway(t, Config{})
-	g.Start()
-	g.Stop()
-	trace, err := workload.Generate(workload.Config{Pattern: workload.Uniform, DailyTotal: 40, Windows: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunLoad(g, LoadConfig{Trace: trace, Duration: 50 * time.Millisecond, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Submitted == 0 || rep.ErrorRate() != 1 {
-		t.Fatalf("%d submitted, error rate %v against a stopped gateway, want 1", rep.Submitted, rep.ErrorRate())
-	}
-	if sum := rep.OK + rep.Shed + rep.Expired + rep.Faulted + rep.Other; sum != rep.Submitted {
-		t.Fatalf("%d submitted but %d outcomes: %+v", rep.Submitted, sum, rep)
 	}
 }
 

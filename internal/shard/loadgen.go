@@ -5,14 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"ccperf/internal/cloud"
 	"ccperf/internal/fault"
 	"ccperf/internal/serving"
-	"ccperf/internal/stats"
-	"ccperf/internal/telemetry"
 	"ccperf/internal/workload"
 )
 
@@ -46,50 +43,67 @@ func BuildFleet(base serving.Config, shards int, regions []cloud.Region, sched *
 	return out, nil
 }
 
-// LoadConfig parameterizes one open-loop sharded replay. Arrivals come
-// either from Shapes (Total arrivals over Duration through the composed
-// intensity, workload.ShapedArrivals) or, when Shapes is nil and Trace is
-// set, from the trace's window counts — both seed-deterministic, so a
-// replay under a fault schedule is reproducible bit for bit.
-type LoadConfig struct {
-	// Total is the arrival count when Shapes drives the replay.
-	Total int64
-	// Shapes composes the arrival intensity (nil with Trace set falls
-	// back to trace expansion; nil with Total set means uniform).
-	Shapes []workload.Shape
-	// Trace is the alternative per-window arrival source.
-	Trace *workload.Trace
-	// Duration is the wall-clock replay length.
-	Duration time.Duration
-	// Seed drives arrivals, origin assignment and request keys.
-	Seed int64
-	// Deadline is the per-request deadline offset; it also defines
-	// on-time: an OK response slower than Deadline (e.g. by failover RTT)
-	// is served but late (0 = no deadline, everything OK is on-time).
-	Deadline time.Duration
-	// Cooldown keeps observing after the last arrival (0 = none).
-	Cooldown time.Duration
-	// OriginWeights skews request origins across the router's regions in
-	// Router.Regions() order (nil = uniform); OriginCorr is the Markov
-	// stickiness of consecutive origins (workload.AssignRegions).
-	OriginWeights []float64
-	OriginCorr    float64
-	// Schedule is consulted for cost accounting (spot-spike price
-	// integrals) and outage bookkeeping in the report; injection itself
-	// is wired into the gateways (BuildFleet). Nil = fault-free pricing.
-	Schedule *fault.Schedule
-	// Instance prices the fleet (nil = p2.xlarge, the paper's K80 box).
-	Instance *cloud.Instance
+// Target adapts a Router to serving.RunLoad. Request i comes from the
+// origin region drawn for it and is keyed Key(seed); its answer is filed
+// under the region of the shard that served it, or, when the gateway it
+// was placed on stopped with nowhere left to fail over, of that shard.
+type Target struct {
+	r       *Router
+	origins []string
+	// The router's counters when the replay began, so Bill reports the
+	// replay's own reroutes and failovers.
+	rerouted, failovers int64
 }
 
-// RegionReport is one region's slice of the replay: its shards' outcomes,
-// its rental bill under regional pricing and any spot spikes, and the
-// cost-accuracy point it contributes to the global frontier.
+// NewTarget draws the origins of n requests across the router's regions:
+// weights skew them in Router.Regions() order (nil = uniform) and corr is
+// the Markov stickiness of consecutive origins (workload.AssignRegions,
+// seeded seed+1).
+func NewTarget(r *Router, n int, weights []float64, corr float64, seed int64) (*Target, error) {
+	regions := r.Regions()
+	if weights == nil {
+		weights = make([]float64, len(regions))
+		for i := range weights {
+			weights[i] = 1
+		}
+	}
+	if len(weights) != len(regions) {
+		return nil, fmt.Errorf("shard: %d origin weights for %d regions", len(weights), len(regions))
+	}
+	origins := make([]string, n)
+	for i, o := range workload.AssignRegions(n, weights, corr, seed+1) {
+		origins[i] = regions[o]
+	}
+	return &Target{r: r, origins: origins, rerouted: r.rerouted.Value(), failovers: r.failovers.Value()}, nil
+}
+
+// Send implements serving.Target through Router.Submit.
+func (t *Target) Send(ctx context.Context, i int, _ serving.Arrival, seed int64, deadline time.Time) (func() (serving.Response, string), error) {
+	if i >= len(t.origins) {
+		return nil, fmt.Errorf("shard: request %d past the %d origins drawn", i, len(t.origins))
+	}
+	in := t.r.shards[0].gw.Config().Ladder[0].Net.Input
+	ch, s, err := t.r.Submit(ctx, Key(seed), t.origins[i], serving.SyntheticImage(in.C, in.H, in.W, seed), deadline)
+	if err != nil {
+		return nil, err
+	}
+	return func() (serving.Response, string) {
+		resp, ok := <-ch
+		if !ok {
+			return serving.Response{Err: serving.ErrStopped}, t.r.shards[s].region
+		}
+		return resp.Response, t.r.shards[resp.Shard].region
+	}, nil
+}
+
+// RegionReport is one region's slice of a replay: what its shards
+// answered, its rental bill under regional pricing and any spot spikes,
+// and the cost-accuracy point it contributes to the global frontier.
 type RegionReport struct {
 	Region string `json:"region"`
 	Shards int    `json:"shards"`
-	// OK / Late / Errors partition the responses served by this region's
-	// shards: on-time, past-deadline, and failed.
+	// OK / Late / Errors partition the answers of this region's shards:
+	// on time, past the deadline, and failed.
 	OK     int `json:"ok"`
 	Late   int `json:"late"`
 	Errors int `json:"errors"`
@@ -104,238 +118,53 @@ type RegionReport struct {
 	// cost-accuracy axis generalized to a region under faults.
 	CostUSD        float64 `json:"cost_usd"`
 	CostPerMillion float64 `json:"cost_per_million_on_time"`
-	// MeanAccuracy is the request-weighted accuracy proxy of the
-	// region's OK responses.
+	// MeanAccuracy is the mean accuracy proxy of the region's answers.
 	MeanAccuracy float64 `json:"mean_accuracy"`
 }
 
-// Report summarizes one sharded replay.
+// Report is the router's half of a sharded replay, next to the driver's
+// serving.Report: reroutes, failovers, and the regional bill.
 type Report struct {
-	Submitted int `json:"submitted"`
-	OK        int `json:"ok"`
-	Late      int `json:"late"`
-	Shed      int `json:"shed"`
-	Expired   int `json:"expired"`
-	Faulted   int `json:"faulted"`
-	Other     int `json:"other_errors"`
-
 	// Rerouted counts submissions that spilled past their home shard;
-	// Failovers responses resubmitted on another shard after a failure;
-	// RouterShed submissions rejected because no shard could take them.
-	Rerouted   int64 `json:"rerouted"`
-	Failovers  int64 `json:"failovers"`
-	RouterShed int64 `json:"router_shed"`
-
-	WallSeconds float64 `json:"wall_seconds"`
-	Throughput  float64 `json:"throughput_rps"`
-
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	P99MS float64 `json:"p99_ms"`
-	MaxMS float64 `json:"max_ms"`
-
-	MeanAccuracy float64 `json:"mean_accuracy"`
-	MinAccuracy  float64 `json:"min_accuracy"`
-
+	// Failovers answers resubmitted on another shard after a failure.
+	Rerouted  int64 `json:"rerouted"`
+	Failovers int64 `json:"failovers"`
 	// CostUSD and CostPerMillion aggregate the regional bills into the
 	// global $/million-on-time-images point.
-	CostUSD        float64 `json:"cost_usd"`
-	CostPerMillion float64 `json:"cost_per_million_on_time"`
-
-	Regions []RegionReport `json:"regions"`
+	CostUSD        float64        `json:"cost_usd"`
+	CostPerMillion float64        `json:"cost_per_million_on_time"`
+	Regions        []RegionReport `json:"regions"`
+	Shards         []Status       `json:"shards"`
 }
 
-// ErrorRate is the fraction of submissions that ended in an error —
-// router sheds, gateway sheds, expiries and exhausted faults. Late
-// responses are service-level failures but not errors.
-func (r *Report) ErrorRate() float64 {
-	if r.Submitted == 0 {
-		return 0
+// Bill folds a replay's served-by rows into one report per region, and
+// bills each region's replica-seconds at its regional price for inst
+// times the run's time-averaged spot multiplier under sched (nil =
+// fault-free pricing). The multiplier is averaged over the run rather
+// than integrated against the instantaneous replica count; with replica
+// counts roughly constant the two agree.
+func (t *Target) Bill(rep *serving.Report, sched *fault.Schedule, inst *cloud.Instance) *Report {
+	out := &Report{
+		Rerouted:  t.r.rerouted.Value() - t.rerouted,
+		Failovers: t.r.failovers.Value() - t.failovers,
+		Shards:    t.r.Statuses(),
 	}
-	return float64(r.Shed+r.Expired+r.Faulted+r.Other) / float64(r.Submitted)
-}
-
-// String renders the one-line summary the CLI prints.
-func (r *Report) String() string {
-	return fmt.Sprintf(
-		"submitted=%d ok=%d late=%d shed=%d expired=%d faulted=%d rerouted=%d failover=%d err=%.2f%% p50=%.1fms p99=%.1fms acc=%.4f $%.4f ($%.2f/M on-time)",
-		r.Submitted, r.OK, r.Late, r.Shed, r.Expired, r.Faulted, r.Rerouted, r.Failovers,
-		100*r.ErrorRate(), r.P50MS, r.P99MS, r.MeanAccuracy, r.CostUSD, r.CostPerMillion)
-}
-
-// FrontierTable renders the per-region cost-accuracy frontier: each
-// region is one point ($/million-on-time vs delivered accuracy), with
-// the global aggregate last. This is the artifact the multi-region story
-// is about — under a regional fault the dark region's row collapses
-// while the survivors' rows absorb its load at a visible cost.
-func (r *Report) FrontierTable() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %6s %8s %6s %6s %8s %9s %12s %9s\n",
-		"region", "shards", "ok", "late", "err", "down(s)", "spot", "$/M-on-time", "accuracy")
-	for _, reg := range r.Regions {
-		fmt.Fprintf(&b, "%-12s %6d %8d %6d %6d %8.1f %9.2f %12.2f %9.4f\n",
-			reg.Region, reg.Shards, reg.OK, reg.Late, reg.Errors,
-			reg.DownSeconds, reg.SpotMean, reg.CostPerMillion, reg.MeanAccuracy)
+	served := map[string]serving.Row{}
+	for _, row := range rep.ServedBy {
+		served[row.Name] = row
 	}
-	fmt.Fprintf(&b, "%-12s %6s %8d %6d %6d %8s %9s %12.2f %9.4f\n",
-		"global", "", r.OK, r.Late, r.Shed+r.Expired+r.Faulted+r.Other, "", "", r.CostPerMillion, r.MeanAccuracy)
-	return b.String()
-}
-
-// RunLoad replays arrivals open-loop through the router, mirroring
-// serving.RunLoad one level up: arrivals fire at their scheduled offsets
-// regardless of progress, latency is measured wall-to-wall around the
-// router (so failover RTT counts), and outcomes are attributed to the
-// region that served them. The caller owns gateway Start/Stop and
-// router Start/Stop.
-func RunLoad(r *Router, cfg LoadConfig) (*Report, error) {
-	if cfg.Duration <= 0 {
-		return nil, errors.New("shard: load config needs a positive duration")
-	}
-	var arrivals []float64
-	switch {
-	case cfg.Total > 0:
-		arrivals = workload.ShapedArrivals(cfg.Total, cfg.Duration.Seconds(), cfg.Shapes, cfg.Seed)
-	case cfg.Trace != nil && len(cfg.Trace.Windows) > 0:
-		windowSec := cfg.Duration.Seconds() / float64(len(cfg.Trace.Windows))
-		arrivals = workload.ArrivalTimes(cfg.Trace, windowSec, cfg.Seed)
-	default:
-		return nil, errors.New("shard: load config needs Total or a trace")
-	}
-	regions := r.Regions()
-	weights := cfg.OriginWeights
-	if weights == nil {
-		weights = make([]float64, len(regions))
-		for i := range weights {
-			weights[i] = 1
+	for _, name := range t.r.Regions() {
+		row := served[name]
+		reg := RegionReport{
+			Region: name, SpotMean: 1,
+			OK: row.OK, Late: row.Late, Errors: row.Errors(),
+			MeanAccuracy: row.MeanAccuracy,
 		}
-	}
-	if len(weights) != len(regions) {
-		return nil, fmt.Errorf("shard: %d origin weights for %d regions", len(weights), len(regions))
-	}
-	origins := workload.AssignRegions(len(arrivals), weights, cfg.OriginCorr, cfg.Seed+1)
-
-	inst := cfg.Instance
-	if inst == nil {
-		var err error
-		inst, err = cloud.ByName("p2.xlarge")
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	shape := r.shards[0].gw.Config().Ladder[0].Net.Input
-	rep := &Report{}
-	perShard := make([]struct {
-		ok, late, errs int
-		accSum         float64
-	}, len(r.shards))
-	var mu sync.Mutex
-	latencies := make([]float64, 0, len(arrivals))
-	var wg sync.WaitGroup
-
-	shedBefore := r.shed.Value()
-	reroutedBefore := r.rerouted.Value()
-	failoversBefore := r.failovers.Value()
-
-	ctx, finishReplay := r.cfg.Tracer.StartSpan(context.Background(), "shard.replay")
-	start := time.Now()
-	for i, at := range arrivals {
-		offset := time.Duration(at * float64(time.Second))
-		if d := time.Until(start.Add(offset)); d > 0 {
-			time.Sleep(d)
-		}
-		img := serving.SyntheticImage(shape.C, shape.H, shape.W, cfg.Seed+int64(i))
-		var deadline time.Time
-		if cfg.Deadline > 0 {
-			deadline = time.Now().Add(cfg.Deadline)
-		}
-		origin := regions[origins[i]]
-		rep.Submitted++
-		submitted := time.Now()
-		ch, s, err := r.Submit(ctx, Key(cfg.Seed+int64(i)), origin, img, deadline)
-		if err != nil {
-			mu.Lock()
-			countError(rep, err)
-			if s >= 0 {
-				perShard[s].errs++
+		for _, st := range t.r.shards {
+			if st.region == name {
+				reg.Shards++
+				reg.ReplicaSeconds += st.gw.ReplicaSeconds()
 			}
-			mu.Unlock()
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, ok := <-ch
-			took := time.Since(submitted)
-			mu.Lock()
-			defer mu.Unlock()
-			if !ok {
-				// Channel closed: gateway stopped with no failover target.
-				rep.Other++
-				perShard[s].errs++
-				return
-			}
-			if resp.Err != nil {
-				countError(rep, resp.Err)
-				perShard[resp.Shard].errs++
-				return
-			}
-			if cfg.Deadline > 0 && took > cfg.Deadline {
-				rep.Late++
-				perShard[resp.Shard].late++
-			} else {
-				rep.OK++
-				perShard[resp.Shard].ok++
-			}
-			perShard[resp.Shard].accSum += resp.Accuracy
-			rep.MeanAccuracy += resp.Accuracy
-			if rep.MinAccuracy == 0 || resp.Accuracy < rep.MinAccuracy {
-				rep.MinAccuracy = resp.Accuracy
-			}
-			latencies = append(latencies, took.Seconds())
-		}()
-	}
-	wg.Wait()
-	finishReplay(telemetry.L("submitted", rep.Submitted))
-	if cfg.Cooldown > 0 {
-		time.Sleep(cfg.Cooldown)
-	}
-	rep.WallSeconds = time.Since(start).Seconds()
-	rep.RouterShed = r.shed.Value() - shedBefore
-	rep.Rerouted = r.rerouted.Value() - reroutedBefore
-	rep.Failovers = r.failovers.Value() - failoversBefore
-	served := rep.OK + rep.Late
-	if served > 0 {
-		rep.MeanAccuracy /= float64(served)
-		rep.Throughput = float64(served) / rep.WallSeconds
-		p50, p95, p99, max := stats.Summary(latencies)
-		rep.P50MS, rep.P95MS, rep.P99MS, rep.MaxMS = p50*1000, p95*1000, p99*1000, max*1000
-	}
-
-	// Regional accounting: fold shards into their regions, bill each
-	// region's replica-seconds at its regional price times the run's
-	// time-averaged spot multiplier. (The multiplier is averaged over the
-	// run rather than integrated against the instantaneous replica count;
-	// with replica counts roughly constant the two agree.)
-	byRegion := map[string]*RegionReport{}
-	for i, st := range r.shards {
-		reg := byRegion[st.region]
-		if reg == nil {
-			reg = &RegionReport{Region: st.region, SpotMean: 1}
-			byRegion[st.region] = reg
-		}
-		reg.Shards++
-		reg.OK += perShard[i].ok
-		reg.Late += perShard[i].late
-		reg.Errors += perShard[i].errs
-		reg.MeanAccuracy += perShard[i].accSum
-		reg.ReplicaSeconds += st.gw.ReplicaSeconds()
-	}
-	for _, name := range regions {
-		reg := byRegion[name]
-		if reg == nil {
-			continue
 		}
 		region, err := cloud.RegionByName(name)
 		if err != nil {
@@ -343,39 +172,42 @@ func RunLoad(r *Router, cfg LoadConfig) (*Report, error) {
 			// baseline pricing.
 			region = cloud.Region{Name: name, PriceMultiplier: 1}
 		}
-		if cfg.Schedule != nil && rep.WallSeconds > 0 {
-			reg.SpotMean = cfg.Schedule.PriceIntegral(name, 0, rep.WallSeconds) / rep.WallSeconds
-			reg.DownSeconds = regionDownSeconds(cfg.Schedule, name, rep.WallSeconds)
+		if sched != nil && rep.WallSeconds > 0 {
+			reg.SpotMean = sched.PriceIntegral(name, 0, rep.WallSeconds) / rep.WallSeconds
+			reg.DownSeconds = regionDownSeconds(sched, name, rep.WallSeconds)
 		}
 		reg.CostUSD = reg.ReplicaSeconds * (cloud.RegionalPrice(inst, region) / 3600) * reg.SpotMean
 		if reg.OK > 0 {
 			reg.CostPerMillion = reg.CostUSD / (float64(reg.OK) / 1e6)
 		}
-		if n := reg.OK + reg.Late; n > 0 {
-			reg.MeanAccuracy /= float64(n)
-		}
-		rep.CostUSD += reg.CostUSD
-		rep.Regions = append(rep.Regions, *reg)
+		out.CostUSD += reg.CostUSD
+		out.Regions = append(out.Regions, reg)
 	}
 	if rep.OK > 0 {
-		rep.CostPerMillion = rep.CostUSD / (float64(rep.OK) / 1e6)
+		out.CostPerMillion = out.CostUSD / (float64(rep.OK) / 1e6)
 	}
-	return rep, nil
+	return out
 }
 
-// countError buckets a submission failure. Router sheds and gateway
-// sheds both land in Shed — to the client they are the same refusal.
-func countError(rep *Report, err error) {
-	switch {
-	case errors.Is(err, ErrNoShard), errors.Is(err, serving.ErrOverloaded):
-		rep.Shed++
-	case errors.Is(err, serving.ErrExpired):
-		rep.Expired++
-	case errors.Is(err, serving.ErrFaulted):
-		rep.Faulted++
-	default:
-		rep.Other++
+// FrontierTable renders the per-region cost-accuracy frontier: each
+// region is one point ($/million-on-time vs delivered accuracy), with
+// rep's totals last. This is the artifact the multi-region story is
+// about — under a regional fault the dark region's row collapses while
+// the survivors' rows absorb its load at a visible cost.
+func (b *Report) FrontierTable(rep *serving.Report) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "router   : %d rerouted, %d failovers; $%.4f billed ($%.2f/M on-time)\n",
+		b.Rerouted, b.Failovers, b.CostUSD, b.CostPerMillion)
+	fmt.Fprintf(&sb, "%-12s %6s %8s %6s %6s %8s %9s %12s %9s\n",
+		"region", "shards", "ok", "late", "err", "down(s)", "spot", "$/M-on-time", "accuracy")
+	for _, reg := range b.Regions {
+		fmt.Fprintf(&sb, "%-12s %6d %8d %6d %6d %8.1f %9.2f %12.2f %9.4f\n",
+			reg.Region, reg.Shards, reg.OK, reg.Late, reg.Errors,
+			reg.DownSeconds, reg.SpotMean, reg.CostPerMillion, reg.MeanAccuracy)
 	}
+	fmt.Fprintf(&sb, "%-12s %6s %8d %6d %6d %8s %9s %12.2f %9.4f\n",
+		"global", "", rep.OK, rep.Late, rep.Errors(), "", "", b.CostPerMillion, rep.MeanAccuracy)
+	return sb.String()
 }
 
 // regionDownSeconds sums the schedule's RegionDown windows for one

@@ -16,9 +16,10 @@ import (
 )
 
 // ErrNoShard means every shard was either drained by health or over its
-// bounded-load cap — the router's load-shedding signal, analogous to
-// serving.ErrOverloaded one level down.
-var ErrNoShard = errors.New("shard: no healthy shard available")
+// bounded-load cap: the router's load-shedding signal. It wraps
+// serving.ErrOverloaded, so a replay counts it as shed, like a gateway's
+// own shedding one level down.
+var ErrNoShard = fmt.Errorf("shard: no healthy shard available: %w", serving.ErrOverloaded)
 
 // Shard is one routing target: a gateway placed in a region. The caller
 // owns the gateway's lifecycle (Start/Stop) and is expected to wire its

@@ -308,16 +308,21 @@ func TestRunLoadSmoke(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	r := testFleet(t, 2, []string{"us-west", "us-east"}, nil,
 		serving.Config{Replicas: 2, QueueCap: 256, Registry: reg}, Config{Registry: reg})
-	rep, err := RunLoad(r, LoadConfig{
-		Total:    100,
-		Shapes:   []workload.Shape{workload.FlashCrowd{At: 0.5, Ramp: 0.1, Hold: 0.2, Mult: 3}},
-		Duration: time.Second,
-		Seed:     42,
-		Deadline: 5 * time.Second,
-	})
+	arrivals := serving.ShapedArrivals(100, time.Second,
+		[]workload.Shape{workload.FlashCrowd{At: 0.5, Ramp: 0.1, Hold: 0.2, Mult: 3}}, 42)
+	target, err := NewTarget(r, len(arrivals), nil, 0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep, err := serving.RunLoad(target, arrivals, serving.LoadConfig{Seed: 42, Deadline: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := cloud.ByName("p2.xlarge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bill := target.Bill(rep, nil, inst)
 	if rep.Submitted != 100 {
 		t.Fatalf("submitted %d", rep.Submitted)
 	}
@@ -327,11 +332,11 @@ func TestRunLoadSmoke(t *testing.T) {
 	if rep.ErrorRate() > 0.05 {
 		t.Fatalf("fault-free error rate %.2f%%", 100*rep.ErrorRate())
 	}
-	if len(rep.Regions) != 2 {
-		t.Fatalf("regions in report: %d", len(rep.Regions))
+	if len(bill.Regions) != 2 {
+		t.Fatalf("regions in report: %d", len(bill.Regions))
 	}
 	var regionOK int
-	for _, reg := range rep.Regions {
+	for _, reg := range bill.Regions {
 		regionOK += reg.OK
 		if reg.Shards != 1 {
 			t.Fatalf("region %s shards %d", reg.Region, reg.Shards)
@@ -343,10 +348,10 @@ func TestRunLoadSmoke(t *testing.T) {
 	if regionOK != rep.OK {
 		t.Fatalf("per-region OK %d != global %d", regionOK, rep.OK)
 	}
-	if rep.CostPerMillion <= 0 || rep.MeanAccuracy <= 0 {
+	if bill.CostPerMillion <= 0 || rep.MeanAccuracy <= 0 {
 		t.Fatalf("frontier point degenerate: %s", rep)
 	}
-	if rep.FrontierTable() == "" {
+	if bill.FrontierTable(rep) == "" {
 		t.Fatal("empty frontier table")
 	}
 }

@@ -75,11 +75,13 @@ func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 
 	g.Start()
 	sc.Start()
-	rep, runErr := RunLoad(g, specs, LoadConfig{
-		Duration: 1200 * time.Millisecond,
+	arrivals, err := Arrivals(specs, 1200*time.Millisecond, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, runErr := serving.RunLoad(g, arrivals, serving.LoadConfig{
 		Seed:     42,
 		Cooldown: 100 * time.Millisecond,
-		Scaler:   sc,
 	})
 	sc.Stop()
 	g.Stop()
@@ -94,8 +96,8 @@ func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 	}
 
 	// Isolation: the quiet tenant never notices the flood.
-	if b.P99MS > b.SLOMS {
-		t.Fatalf("tenant b p99 %.1fms exceeds its %.0fms SLO under tenant a's flood", b.P99MS, b.SLOMS)
+	if slo := g.TenantStats("b").SLOMS; b.P99MS > slo {
+		t.Fatalf("tenant b p99 %.1fms exceeds its %.0fms SLO under tenant a's flood", b.P99MS, slo)
 	}
 	if er := b.ErrorRate(); er >= 0.01 {
 		t.Fatalf("tenant b error rate %.2f%%, want < 1%%", er*100)
@@ -113,15 +115,12 @@ func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 
 	// Joint placement: the report prices each tenant and names who paid
 	// for capacity pressure first.
-	j := rep.Joint
-	if j == nil {
-		t.Fatal("report carries no joint status")
-	}
+	j := sc.Status()
 	if j.DegradedFirst != "a" {
 		t.Fatalf("degraded first = %q, want tenant a (largest accuracy-per-dollar slack); last decision: %+v",
 			j.DegradedFirst, j.LastDecision)
 	}
-	if a.Degrades == 0 {
+	if g.TenantStats("a").Degrades == 0 {
 		t.Fatal("tenant a's ledger shows no degrades despite DegradedFirst")
 	}
 	if len(j.Tenants) != 2 {

@@ -3,7 +3,6 @@ package tenant
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -378,52 +377,39 @@ func TestStopDrainsBacklog(t *testing.T) {
 	}
 }
 
-// TestCountTenantError pins how the load driver files a failed request:
-// by errors.Is, so a sentinel wrapped by %w or joined by errors.Join still
-// lands in its outcome, and anything else lands in Other.
-func TestCountTenantError(t *testing.T) {
-	type counts struct{ rejected, shed, expired, faulted, other int }
-	for _, c := range []struct {
-		name string
-		err  error
-		want counts
-	}{
-		{"quota", serving.ErrQuotaExceeded, counts{rejected: 1}},
-		{"wrapped quota", fmt.Errorf("admit: %w", serving.ErrQuotaExceeded), counts{rejected: 1}},
-		{"joined quota", errors.Join(errors.New("tenant a"), serving.ErrQuotaExceeded), counts{rejected: 1}},
-		{"shed", serving.ErrOverloaded, counts{shed: 1}},
-		{"expired", fmt.Errorf("late: %w", serving.ErrExpired), counts{expired: 1}},
-		{"joined fault", errors.Join(serving.ErrFaulted, errors.New("replica 2")), counts{faulted: 1}},
-		{"stopped", serving.ErrStopped, counts{other: 1}},
-		{"other", errors.New("boom"), counts{other: 1}},
-	} {
-		var tr TenantReport
-		countTenantError(&tr, c.err)
-		if got := (counts{tr.Rejected, tr.Shed, tr.Expired, tr.Faulted, tr.Other}); got != c.want {
-			t.Errorf("%s: counts = %+v, want %+v", c.name, got, c.want)
-		}
-	}
-}
-
-// TestRunLoadCountsEveryOutcome: a replay against a stopped gateway is
-// all errors, and each tenant's outcomes sum to its submissions.
+// TestRunLoadCountsEveryOutcome: a replay of every tenant's arrivals
+// against a stopped gateway is all errors, each tenant's row holds its own
+// arrivals, and each tenant's outcomes sum to its submissions.
 func TestRunLoadCountsEveryOutcome(t *testing.T) {
 	specs := []Spec{{Name: "a", OfferedQPS: 200}, {Name: "b", OfferedQPS: 200}}
 	g := testGateway(t, specs, serving.Config{})
 	g.Start()
 	g.Stop()
-	rep, err := RunLoad(g, specs, LoadConfig{Duration: 200 * time.Millisecond, Seed: 1})
+	arrivals, err := Arrivals(specs, 200*time.Millisecond, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := serving.RunLoad(g, arrivals, serving.LoadConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if er := rep.ErrorRate(); er != 1 {
 		t.Fatalf("error rate %v against a stopped gateway, want 1", er)
 	}
+	if rep.Submitted != len(arrivals) || len(rep.Tenants) != len(specs) {
+		t.Fatalf("%d submitted in %d tenant rows, want %d in %d", rep.Submitted, len(rep.Tenants), len(arrivals), len(specs))
+	}
 	for _, tr := range rep.Tenants {
-		if tr.Submitted == 0 {
-			t.Fatalf("tenant %s submitted nothing; test is vacuous", tr.Name)
+		offered := 0
+		for _, a := range arrivals {
+			if a.Tenant == tr.Name {
+				offered++
+			}
 		}
-		if sum := tr.OK + tr.Rejected + tr.Shed + tr.Expired + tr.Faulted + tr.Other; sum != tr.Submitted {
+		if tr.Submitted == 0 || tr.Submitted != offered {
+			t.Fatalf("tenant %s submitted %d of its %d arrivals", tr.Name, tr.Submitted, offered)
+		}
+		if sum := tr.OK + tr.Late + tr.Rejected + tr.Shed + tr.Expired + tr.Faulted + tr.Other; sum != tr.Submitted {
 			t.Fatalf("tenant %s: %d submitted but %d outcomes: %+v", tr.Name, tr.Submitted, sum, tr)
 		}
 	}

@@ -10,7 +10,7 @@
 // quotas, deficit-round-robin batching, per-tenant ladders and SLOs) live
 // in the gateway itself; this package supplies the spec-file format
 // (Spec, ParseSpecs, NewRegistry), NewGateway, which builds a gateway from
-// specs, and RunLoad, which replays each tenant's Poisson arrivals.
+// specs, and Arrivals, each tenant's Poisson arrivals for serving.RunLoad.
 // autoscale.Scaler drives the resulting gateway like any fleet: which
 // tenant degrades first (largest accuracy-per-dollar slack), which gets
 // freed capacity, per-tenant $/hr enforcement.
@@ -20,11 +20,14 @@
 package tenant
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -63,7 +66,7 @@ type Spec struct {
 	// rate (0 = uncapped); the scaler degrades a tenant over its
 	// cap regardless of fleet health.
 	MaxCostPerHour float64 `json:"max_cost_per_hour,omitempty"`
-	// OfferedQPS is the open-loop load RunLoad generates for this tenant
+	// OfferedQPS is the open-loop load Arrivals generates for this tenant
 	// (0 = QPS, or 20/s when both are unset). Offered > QPS exercises
 	// quota rejection — the flooding-tenant scenario.
 	OfferedQPS float64 `json:"offered_qps,omitempty"`
@@ -107,7 +110,7 @@ func (s Spec) withDefaults() Spec {
 // or deadline_ms in [MinSpecMS, serving.MaxLatencyMS]. They sit far
 // outside any real tenant (examples/tenants.json asks for 10–60 req/s and
 // 250–500 ms) and keep every derived duration representable: SLO() and
-// Deadline() neither round to zero nor overflow, and RunLoad's
+// Deadline() neither round to zero nor overflow, and Arrivals'
 // inter-arrival gaps neither round to zero (at offered_qps 1e12 every gap
 // did, so the replay never advanced) nor overflow.
 const (
@@ -277,4 +280,35 @@ func NewGateway(specs []Spec, build func(ratios []float64) ([]serving.Variant, e
 		})
 	}
 	return serving.New(cfg)
+}
+
+// Arrivals merges one Poisson process per tenant into a replay for
+// serving.RunLoad: each tenant offers its OfferedQPS (else its QPS quota,
+// else 20/s) over d, and tenant i in name order, the order NewGateway
+// hosts them in, draws from seed+i.
+func Arrivals(specs []Spec, d time.Duration, seed int64) ([]serving.Arrival, error) {
+	reg, err := NewRegistry(specs)
+	if err != nil {
+		return nil, err
+	}
+	var out []serving.Arrival
+	for i, s := range reg.Specs() {
+		rate := s.OfferedQPS
+		if rate <= 0 {
+			rate = s.QPS
+		}
+		if rate <= 0 {
+			rate = 20
+		}
+		rng := rand.New(rand.NewSource(seed + int64(i)))
+		for at := time.Duration(0); ; {
+			at += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+			if at >= d {
+				break
+			}
+			out = append(out, serving.Arrival{At: at, Tenant: s.Name})
+		}
+	}
+	slices.SortStableFunc(out, func(a, b serving.Arrival) int { return cmp.Compare(a.At, b.At) })
+	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -225,4 +226,107 @@ func AssignRegions(n int, weights []float64, corr float64, seed int64) []int {
 		}
 	}
 	return out
+}
+
+// maxShapeTerms bounds a -shape spec. Each term multiplies into the
+// intensity, and bounding the terms with their multiples keeps the
+// composite density finite.
+const maxShapeTerms = 16
+
+// ParseShapes parses a composed arrival shape (the loadtest -shape flag).
+// Terms join with ",", and each multiplies into the arrival intensity:
+//
+//	diurnal[:AMP[@PEAK][xCYCLES]]   sinusoid, e.g. diurnal:0.6@0.75
+//	flash:AT+RAMP+HOLDxMULT         flash crowd, e.g. flash:0.5+0.05+0.2x4
+//
+// Positions are trace fractions in [0,1], AMP lies in [0,1], CYCLES in
+// [0,1e6] and MULT in [1,1000]; a number out of range, NaN or infinite is
+// an error naming its term. Empty (or "uniform") means uniform arrivals.
+func ParseShapes(spec string) ([]Shape, error) {
+	spec = strings.TrimSpace(spec)
+	if spec == "" || spec == "uniform" {
+		return nil, nil
+	}
+	terms := strings.Split(spec, ",")
+	if len(terms) > maxShapeTerms {
+		return nil, fmt.Errorf("%d shape terms, at most %d", len(terms), maxShapeTerms)
+	}
+	var out []Shape
+	for _, term := range terms {
+		term = strings.TrimSpace(term)
+		num := func(s, what string, lo, hi float64) (float64, error) {
+			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+			if err != nil || !(v >= lo && v <= hi) {
+				return 0, fmt.Errorf("shape %q: %s %q is not a number in [%g, %g]", term, what, s, lo, hi)
+			}
+			return v, nil
+		}
+		kind, rest, _ := strings.Cut(term, ":")
+		switch kind {
+		case "diurnal":
+			s := Sinusoid{Amplitude: 0.6, Peak: 0.75}
+			if rest != "" {
+				var err error
+				if body, cyc, ok := strings.Cut(rest, "x"); ok {
+					if s.Cycles, err = num(cyc, "cycles", 0, 1e6); err != nil {
+						return nil, err
+					}
+					rest = body
+				}
+				amp, peak, hasPeak := strings.Cut(rest, "@")
+				if s.Amplitude, err = num(amp, "amplitude", 0, 1); err != nil {
+					return nil, err
+				}
+				if hasPeak {
+					if s.Peak, err = num(peak, "peak", 0, 1); err != nil {
+						return nil, err
+					}
+				}
+			}
+			out = append(out, s)
+		case "flash":
+			body, mult, ok := strings.Cut(rest, "x")
+			parts := strings.Split(body, "+")
+			if !ok || len(parts) != 3 {
+				return nil, fmt.Errorf("shape %q: want flash:AT+RAMP+HOLDxMULT", term)
+			}
+			var f FlashCrowd
+			var err error
+			for i, p := range []*float64{&f.At, &f.Ramp, &f.Hold} {
+				if *p, err = num(parts[i], []string{"at", "ramp", "hold"}[i], 0, 1); err != nil {
+					return nil, err
+				}
+			}
+			if f.Mult, err = num(mult, "mult", 1, 1000); err != nil {
+				return nil, err
+			}
+			out = append(out, f)
+		default:
+			return nil, fmt.Errorf("shape %q: unknown kind %q (want diurnal or flash)", term, kind)
+		}
+	}
+	return out, nil
+}
+
+// ParseOriginWeights parses a comma list of request-origin weights, one
+// per region (the loadtest -origin-weights flag; "" = uniform, nil). A
+// weight must be finite and non-negative; an error names the term.
+func ParseOriginWeights(spec string, regions int) ([]float64, error) {
+	spec = strings.TrimSpace(spec)
+	if spec == "" {
+		return nil, nil
+	}
+	parts := strings.Split(spec, ",")
+	if len(parts) != regions {
+		return nil, fmt.Errorf("%d weights for %d regions", len(parts), regions)
+	}
+	out := make([]float64, len(parts))
+	for i, p := range parts {
+		w, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil || !(w >= 0 && w <= math.MaxFloat64) {
+			return nil, fmt.Errorf("weight %d %q is not a finite non-negative number", i+1, p)
+		}
+		out[i] = w
+	}
+	return out, nil
 }

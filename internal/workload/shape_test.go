@@ -211,3 +211,83 @@ func TestShapeLabel(t *testing.T) {
 		}
 	}
 }
+
+// TestParseShapes: the documented forms parse to their shapes, and a
+// malformed, out-of-range or non-finite number is an error naming its
+// term.
+func TestParseShapes(t *testing.T) {
+	got, err := ParseShapes("diurnal:0.5@0.25x2, flash:0.5+0.05+0.2x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Shape{Sinusoid{Amplitude: 0.5, Peak: 0.25, Cycles: 2}, FlashCrowd{At: 0.5, Ramp: 0.05, Hold: 0.2, Mult: 4}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("parsed %v, want %v", got, want)
+	}
+	for _, spec := range []string{"", "uniform"} {
+		if s, err := ParseShapes(spec); err != nil || s != nil {
+			t.Fatalf("%q: %v, %v; want uniform", spec, s, err)
+		}
+	}
+	for _, c := range []struct{ spec, term string }{
+		{"diurnal:Inf", "diurnal:Inf"},
+		{"diurnal:0.6@NaN", "diurnal:0.6@NaN"},
+		{"diurnal:0.6x-1", "diurnal:0.6x-1"},
+		{"diurnal:1.5", "diurnal:1.5"},
+		{"flash:0.5+0.05+0.2xNaN", "flash:0.5+0.05+0.2xNaN"},
+		{"diurnal, flash:0.5+inf+0.2x2", "flash:0.5+inf+0.2x2"},
+		{"flash:0.5+0.05x2", "flash:0.5+0.05x2"},
+		{"flash:0.5+0.05+0.2", "flash:0.5+0.05+0.2"},
+		{"spike:1", "spike:1"},
+	} {
+		_, err := ParseShapes(c.spec)
+		if err == nil || !strings.Contains(err.Error(), c.term) {
+			t.Errorf("%q: error %v, want one naming %q", c.spec, err, c.term)
+		}
+	}
+}
+
+func TestParseOriginWeights(t *testing.T) {
+	if w, err := ParseOriginWeights("1, 0,2.5", 3); err != nil || len(w) != 3 || w[2] != 2.5 {
+		t.Fatalf("ParseOriginWeights = %v, %v", w, err)
+	}
+	if w, err := ParseOriginWeights(" ", 2); err != nil || w != nil {
+		t.Fatalf("empty spec = %v, %v; want uniform", w, err)
+	}
+	for _, spec := range []string{"NaN,1", "1,+Inf", "-1,1", "1,x", "1"} {
+		if _, err := ParseOriginWeights(spec, 2); err == nil {
+			t.Errorf("%q: expected an error", spec)
+		}
+	}
+}
+
+// FuzzParseShapes: no spec panics ParseShapes, and any spec it accepts
+// gives ShapedArrivals times that are finite, sorted and in [0, duration).
+func FuzzParseShapes(f *testing.F) {
+	for _, s := range []string{
+		"", "uniform", "diurnal", "diurnal:0.6@0.75", "diurnal:1@0x1000000",
+		"flash:0.5+0.05+0.2x4", "diurnal:0.3x3,flash:0.7+0+0.1x1000",
+		"diurnal:Inf", "flash:0.5+0.05+0.2xNaN", "flash:1e-320+1+1x1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		shapes, err := ParseShapes(spec)
+		if err != nil {
+			return
+		}
+		const duration = 3.0
+		times := ShapedArrivals(100, duration, shapes, 1)
+		if len(times) != 100 {
+			t.Fatalf("%q: %d arrivals, want 100", spec, len(times))
+		}
+		for i, at := range times {
+			if math.IsNaN(at) || at < 0 || at >= duration {
+				t.Fatalf("%q: arrival %d at %v, outside [0, %v)", spec, i, at, duration)
+			}
+			if i > 0 && at < times[i-1] {
+				t.Fatalf("%q: arrival %d at %v before %v", spec, i, at, times[i-1])
+			}
+		}
+	})
+}

@@ -64,6 +64,12 @@ go test -run - -fuzz '^FuzzParseSpecs$' -fuzztime 10s ./internal/tenant
 echo "== fuzz ParseSpec (10s)"
 go test -run - -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/models
 
+# loadtest -shape parses through workload.ParseShapes; fuzz it (no panic;
+# an accepted shape gives ShapedArrivals finite, sorted times inside the
+# replay).
+echo "== fuzz ParseShapes (10s)"
+go test -run - -fuzz '^FuzzParseShapes$' -fuzztime 10s ./internal/workload
+
 echo "== bench smoke (go test -run - -bench . -benchtime 1x)"
 mkdir -p out
 # One iteration of every benchmark: each must run and terminate at b.N = 1.
